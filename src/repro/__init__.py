@@ -79,6 +79,7 @@ from .errors import (
     ConvergenceError,
     FactorError,
     FormatError,
+    PathError,
     ReproError,
     ScanError,
     ShapeError,
@@ -101,6 +102,7 @@ __all__ = [
     "LinearForestResult",
     "ParallelFactorConfig",
     "ParallelFactorResult",
+    "PathError",
     "PathInfo",
     "ReproError",
     "ScanError",

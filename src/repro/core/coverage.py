@@ -31,7 +31,10 @@ def graph_weight(a: CSRMatrix) -> float:
 
 def _edge_weights(a: CSRMatrix, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """|ω({u_i, v_i})| = (|a_uv| + |a_vu|) / 2 per listed edge."""
-    return (np.abs(a.gather(u, v)) + np.abs(a.gather(v, u))) / 2.0
+    # one gather for both orientations: the key array over the nonzeros is
+    # built once
+    w = np.abs(a.gather(np.concatenate([u, v]), np.concatenate([v, u])))
+    return (w[: u.size] + w[u.size :]) / 2.0
 
 
 def factor_weight(a: CSRMatrix, factor: Factor) -> float:

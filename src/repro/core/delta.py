@@ -67,7 +67,6 @@ from ..device.profiler import TimingBreakdown
 from ..errors import ConfigError, ShapeError
 from ..obs import Tracer, current_metrics, trace_span
 from ..sparse.build import prepare_graph
-from ..sparse.coo import COOMatrix
 from ..sparse.csr import CSRMatrix
 from .coverage import coverage as coverage_of
 from .cycles import BrokenCycles
@@ -261,16 +260,36 @@ def apply_edits_to_matrix(a: CSRMatrix, edits: EditBatch) -> CSRMatrix:
     keep = len(edits) - 1 - last_in_reversed
     lo, hi, w, delete = lo[keep], hi[keep], edits.w[keep], edits.delete[keep]
 
-    coo = a.to_coo()
-    entry_keys = np.minimum(coo.row, coo.col) * n + np.maximum(coo.row, coo.col)
-    survivors = ~np.isin(entry_keys, lo * n + hi)
-    sets = ~delete
-    new_rows = np.concatenate([coo.row[survivors], lo[sets], hi[sets]])
-    new_cols = np.concatenate([coo.col[survivors], hi[sets], lo[sets]])
-    new_vals = np.concatenate(
-        [coo.val[survivors], w[sets].astype(a.data.dtype), w[sets].astype(a.data.dtype)]
-    ).astype(a.data.dtype)
-    return COOMatrix(row=new_rows, col=new_cols, val=new_vals, shape=a.shape).to_csr()
+    # both directions of every edited pair, in CSR (row, col) key order
+    rows = np.concatenate([lo, hi])
+    cols = np.concatenate([hi, lo])
+    edit_keys = rows * n + cols
+    order = np.argsort(edit_keys)
+    rows, cols, edit_keys = rows[order], cols[order], edit_keys[order]
+    sets = ~np.concatenate([delete, delete])[order]
+    vals = np.concatenate([w, w])[order][sets].astype(a.data.dtype)
+
+    # splice: drop every stored edited entry, then insert the set ones at
+    # their sorted positions among the survivors
+    entry_keys = a.nnz_rows * n + a.indices
+    pos = np.searchsorted(entry_keys, edit_keys)
+    stored = pos < a.nnz
+    stored[stored] = entry_keys[pos[stored]] == edit_keys[stored]
+    drop = pos[stored]
+    at = pos[sets] - np.searchsorted(drop, pos[sets])
+    counts = (
+        a.row_lengths
+        - np.bincount(rows[stored], minlength=n)
+        + np.bincount(rows[sets], minlength=n)
+    )
+    indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
+    np.cumsum(counts, out=indptr[1:])
+    return CSRMatrix(
+        indptr=indptr,
+        indices=np.insert(np.delete(a.indices, drop), at, cols[sets]),
+        data=np.insert(np.delete(a.data, drop), at, vals),
+        shape=a.shape,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +347,7 @@ def _induced_subgraph(
     take = take[member_mask[graph.indices[take]]]
     rows_local = local[graph.nnz_rows[take]]
     indptr = np.zeros(members.size + 1, dtype=INDEX_DTYPE)
-    np.add.at(indptr, rows_local + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(rows_local, minlength=members.size), out=indptr[1:])
     sub = CSRMatrix(
         indptr=indptr,
         indices=local[graph.indices[take]],
@@ -705,7 +723,7 @@ def apply_edits(
                     root.attributes["fallback"] = "region"
                 return _fallback(
                     edits, a_new, config, "region",
-                    device=device, compaction=policy,
+                    device=device, compaction=policy, prepared_graph=graph_new,
                 )
 
             # frontier-local factor recompute on a scratch device, fused into
@@ -752,8 +770,9 @@ def apply_edits(
             # touched or changed vertex.  The set is closed under the *new*
             # factor too: a new factor edge only ever joins two changed rows.
             mark = np.union1d(touched, changed)
-            affected_pids = np.unique(previous.paths.path_id[mark])
-            region_mask = np.isin(previous.paths.path_id, affected_pids)
+            affected = np.zeros(a.n_rows, dtype=bool)
+            affected[previous.paths.path_id[mark]] = True
+            region_mask = affected[previous.paths.path_id]
             n_rescanned = int(region_mask.sum())
             with trace_span(
                 "delta.rescan", category="stage", rescanned=n_rescanned
@@ -847,8 +866,13 @@ def _fallback(
     device=None,
     devices=None,
     compaction=None,
+    prepared_graph: CSRMatrix | None = None,
 ) -> DeltaResult:
-    """Full from-scratch re-run on the edited matrix (correct, not warm)."""
+    """Full from-scratch re-run on the edited matrix (correct, not warm).
+
+    ``prepared_graph`` is ``prepare_graph(a_new)`` when the caller already
+    built it, so the re-run does not prepare the edited matrix twice.
+    """
     if warn:
         warnings.warn(
             "apply_edits on a sharded device group falls back to a full "
@@ -862,7 +886,8 @@ def _fallback(
         metrics.counter("delta.fallbacks").inc()
         metrics.counter(f"delta.fallbacks[{reason}]").inc()
     result = extract_linear_forest(
-        a_new, config, device=device, devices=devices, compaction=compaction
+        a_new, config, device=device, devices=devices, compaction=compaction,
+        prepared_graph=prepared_graph,
     )
     return DeltaResult(
         result=result,

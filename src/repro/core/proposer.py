@@ -66,7 +66,7 @@ from .frontier import (
 )
 from .structures import NO_PARTNER
 
-__all__ = ["PreparedProposer", "PropositionEngine"]
+__all__ = ["PreparedProposer", "PropositionEngine", "proposal_order"]
 
 #: Bytes per frontier entry moved by a compaction gather: the
 #: ``(row, col, value)`` triple (int64 + int64 + float64).
@@ -74,6 +74,28 @@ GATHER_ELEMENT_BYTES = 24
 #: Bytes one retained dead entry costs each uncompacted round: its row and
 #: col ids are streamed (and skipped) plus its live-mask byte.
 DEAD_ELEMENT_BYTES = 17
+
+
+def proposal_order(rows: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """The Table 1 order of the nonzeros: row ascending, value descending,
+    array position ascending — equal to
+    ``np.lexsort((position, -data, rows))``.
+
+    One stable argsort of the integer key ``row · n_distinct + rank`` replaces
+    the three-key sort, where ``rank`` is the descending rank of the value
+    among the distinct values (equal values, ``-0.0`` and ``0.0`` among them,
+    share a rank, so stability keeps their position order).  Keys that would
+    overflow int64 fall back to the lexsort.
+    """
+    rows = np.asarray(rows, dtype=INDEX_DTYPE)
+    data = np.asarray(data)
+    if rows.size == 0:
+        return np.empty(0, dtype=INDEX_DTYPE)
+    distinct, rank = np.unique(-data, return_inverse=True)
+    if int(rows.max()) >= np.iinfo(INDEX_DTYPE).max // distinct.size:
+        position = np.arange(rows.size, dtype=INDEX_DTYPE)
+        return np.lexsort((position, -data, rows))
+    return np.argsort(rows * distinct.size + rank, kind="stable")
 
 
 def _segmented_rank(
@@ -109,11 +131,10 @@ def _scatter_proposals(
     """Write the selected entries into the ``(N, n)`` proposal slots."""
     prop_cols = np.full((n_vertices, n), NO_PARTNER, dtype=INDEX_DTYPE)
     prop_vals = np.zeros((n_vertices, n), dtype=VALUE_DTYPE)
-    counts = np.zeros(n_vertices, dtype=INDEX_DTYPE)
     sel = np.flatnonzero(selected)
     prop_cols[rows[sel], rank[sel]] = cols[sel]
     prop_vals[rows[sel], rank[sel]] = vals[sel]
-    np.add.at(counts, rows[sel], 1)
+    counts = np.bincount(rows[sel], minlength=n_vertices).astype(INDEX_DTYPE)
     return prop_cols, prop_vals, counts
 
 
@@ -129,9 +150,7 @@ class PreparedProposer:
         validate_proposition_weights(graph.data)
         self.graph = graph
         rows = graph.nnz_rows
-        nnz = graph.nnz
-        position = np.arange(nnz, dtype=INDEX_DTYPE)
-        order = np.lexsort((position, -graph.data, rows))
+        order = proposal_order(rows, graph.data)
         self._rows = rows[order]
         self._cols = graph.indices[order]
         self._vals = np.asarray(graph.data, dtype=VALUE_DTYPE)[order]
@@ -225,9 +244,7 @@ class PropositionEngine:
         self.gathered_elements = 0
         self._n_vertices = graph.n_rows
         rows = graph.nnz_rows
-        nnz = graph.nnz
-        position = np.arange(nnz, dtype=INDEX_DTYPE)
-        order = np.lexsort((position, -graph.data, rows))
+        order = proposal_order(rows, graph.data)
         rows = rows[order]
         cols = graph.indices[order]
         vals = np.asarray(graph.data, dtype=VALUE_DTYPE)[order]

@@ -80,6 +80,7 @@ from .proposer import (
     GATHER_ELEMENT_BYTES,
     _scatter_proposals,
     _segmented_rank,
+    proposal_order,
 )
 from .scan import (
     CAND_DEAD_BYTES,
@@ -202,8 +203,7 @@ class _ShardProposer:
         rows = graph.nnz_rows[s0:s1]
         cols = graph.indices[s0:s1]
         vals = np.asarray(graph.data[s0:s1], dtype=VALUE_DTYPE)
-        position = np.arange(rows.size, dtype=INDEX_DTYPE)
-        order = np.lexsort((position, -vals, rows))
+        order = proposal_order(rows, vals)
         rows, cols, vals = rows[order], cols[order], vals[order]
         live = cols != rows
         if not bool(live.all()):

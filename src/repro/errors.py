@@ -27,6 +27,11 @@ class ScanError(ReproError):
     """The bidirectional scan was invoked on invalid input."""
 
 
+class PathError(ReproError):
+    """Path ids/positions do not describe a linear forest (a path id that is
+    not a vertex id, or a path whose positions are not ``1..len``)."""
+
+
 class SolverError(ReproError):
     """An iterative or direct solver failed (breakdown, singular pivot, ...)."""
 

@@ -84,11 +84,14 @@ def from_edges(
 def absolute_offdiag(a: CSRMatrix) -> CSRMatrix:
     """``A' = |A| - diag(|A|)``: absolute values, diagonal removed."""
     check_square(a.shape)
-    coo = a.to_coo()
-    off = coo.row != coo.col
-    return COOMatrix(
-        row=coo.row[off], col=coo.col[off], val=np.abs(coo.val[off]), shape=a.shape
-    ).drop_zeros().to_csr()
+    val = np.abs(a.data)
+    # a filter keeps the CSR order; ``val > 0`` drops explicit zeros and NaN
+    keep = (a.nnz_rows != a.indices) & (val > 0)
+    kept = np.zeros(a.nnz + 1, dtype=INDEX_DTYPE)
+    np.cumsum(keep, out=kept[1:])
+    return CSRMatrix(
+        indptr=kept[a.indptr], indices=a.indices[keep], data=val[keep], shape=a.shape
+    )
 
 
 def add(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:

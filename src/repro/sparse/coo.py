@@ -111,15 +111,13 @@ class COOMatrix:
         """Convert to CSR (duplicates summed, column indices sorted per row)."""
         from .csr import CSRMatrix
 
+        # sum_duplicates leaves the entries in (row, col) order: the CSR order
         dedup = self.sum_duplicates()
-        order = np.lexsort((dedup.col, dedup.row))
-        row = dedup.row[order]
-        col = dedup.col[order]
-        val = dedup.val[order]
         indptr = np.zeros(self.n_rows + 1, dtype=INDEX_DTYPE)
-        np.add.at(indptr, row + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return CSRMatrix(indptr=indptr, indices=col, data=val, shape=self.shape)
+        np.cumsum(np.bincount(dedup.row, minlength=self.n_rows), out=indptr[1:])
+        return CSRMatrix(
+            indptr=indptr, indices=dedup.col, data=dedup.val, shape=self.shape
+        )
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.shape, dtype=VALUE_DTYPE)

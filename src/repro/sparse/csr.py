@@ -59,10 +59,10 @@ class CSRMatrix:
             require(int(indices.min()) >= 0 and int(indices.max()) < n_cols, "column index out of range", FormatError)
             # strictly increasing inside each row: a decrease is only allowed
             # at row boundaries.
-            decreases = np.flatnonzero(np.diff(indices) <= 0) + 1
-            row_starts = indptr[1:-1]
+            row_start = np.zeros(indices.size + 1, dtype=bool)
+            row_start[indptr[1:-1]] = True
             require(
-                bool(np.all(np.isin(decreases, row_starts))),
+                not bool((np.diff(indices) <= 0)[~row_start[1:-1]].any()),
                 "column indices must be strictly increasing within each row",
                 FormatError,
             )
@@ -156,26 +156,33 @@ class CSRMatrix:
         return nnz_keys[pos_clipped] == keys
 
     # -- structure predicates ----------------------------------------------------
+    def _mirror_order(self) -> np.ndarray | None:
+        """Position of each entry's mirror ``(j, i)``, or ``None`` when the
+        pattern is not symmetric.
+
+        The keys ``row·n + col`` ascend in CSR order; one argsort of the
+        mirror keys ``col·n + row`` reproduces them exactly when every entry
+        has a mirror, and then ``order[k]`` is the mirror of entry ``k``.
+        """
+        if self.n_rows != self.n_cols:
+            return None
+        n = self.n_rows
+        rows = self.nnz_rows
+        mirror_keys = self.indices * n + rows
+        order = np.argsort(mirror_keys)
+        if not np.array_equal(mirror_keys[order], rows * n + self.indices):
+            return None
+        return order
+
     def is_symmetric(self, tol: float = 0.0) -> bool:
         """Exact (or ``tol``-approximate) numeric symmetry check."""
-        if self.n_rows != self.n_cols:
-            return False
-        t = self.transpose()
-        if not (
-            np.array_equal(self.indptr, t.indptr)
-            and np.array_equal(self.indices, t.indices)
-        ):
-            return False
-        return bool(np.all(np.abs(self.data - t.data) <= tol))
+        order = self._mirror_order()
+        return order is not None and bool(
+            np.all(np.abs(self.data - self.data[order]) <= tol)
+        )
 
     def is_pattern_symmetric(self) -> bool:
-        if self.n_rows != self.n_cols:
-            return False
-        t = self.transpose()
-        return bool(
-            np.array_equal(self.indptr, t.indptr)
-            and np.array_equal(self.indices, t.indices)
-        )
+        return self._mirror_order() is not None
 
     # -- transforms ----------------------------------------------------------
     def to_coo(self):

@@ -291,6 +291,32 @@ def test_max_region_fraction_tightens_the_cutoff():
     assert same_bits(loose.result, tight.result)
 
 
+def test_region_fallback_prepares_the_edited_matrix_once(monkeypatch):
+    """The fallback re-run reuses the prepared graph that sized the ball."""
+    import repro.core.delta as delta_mod
+    import repro.core.pipeline as pipeline_mod
+
+    a = aniso2(16)
+    previous = extract_linear_forest(a, device=Device(record=False))
+    calls = []
+    real = delta_mod.prepare_graph
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(delta_mod, "prepare_graph", counting)
+    monkeypatch.setattr(pipeline_mod, "prepare_graph", counting)
+    updated = apply_edits(
+        previous, EditBatch.single(0, 1, 3.0), a,
+        device=Device(record=False), max_region_fraction=0.0,
+    )
+    assert updated.stats.fallback == "region"
+    assert len(calls) == 1
+    monkeypatch.undo()
+    check_against_scratch(updated)
+
+
 def test_mismatched_shapes_rejected():
     a = aniso2(8)
     previous = extract_linear_forest(a, device=Device(record=False))

@@ -1,9 +1,12 @@
 """Unit tests for the tridiagonalising permutation."""
 
 import numpy as np
+import pytest
 
 from repro.core import Factor, forest_permutation, identify_paths, is_tridiagonal_under
+from repro.core.paths import PathInfo
 from repro.core.permutation import inverse_permutation
+from repro.errors import PathError
 from repro.graphs import random_linear_forest
 
 
@@ -62,3 +65,36 @@ def test_is_tridiagonal_under_detects_violation():
 def test_empty_factor_always_tridiagonal():
     f = Factor.empty(4, 2)
     assert is_tridiagonal_under(f, np.arange(4))
+
+
+def test_placement_equals_the_radix_sort_reference(rng):
+    from repro.sort import pack_keys, radix_argsort
+
+    gt = random_linear_forest(90, rng, max_path_len=7)
+    info = identify_paths(gt.factor)
+    np.testing.assert_array_equal(
+        forest_permutation(info), radix_argsort(pack_keys(info.path_id, info.position))
+    )
+
+
+@pytest.mark.parametrize(
+    "path_id, position",
+    [
+        ([0, 0, 2], [1, 1, 1]),  # duplicate position inside path 0
+        ([0, 0, 2], [1, 3, 1]),  # position past the path's length
+        ([0, 0, 2], [1, 2, 3]),  # ... and past the end of the array
+        ([0, 0, 2], [0, 1, 1]),  # positions are 1-based
+        ([0, 0, 2], [-1, 1, 1]),
+        ([0, 0, 3], [1, 2, 1]),  # path id is not a vertex id
+        ([0, 0, -1], [1, 2, 1]),
+    ],
+)
+def test_malformed_paths_raise_the_named_error(path_id, position):
+    info = PathInfo(path_id=np.array(path_id), position=np.array(position))
+    with pytest.raises(PathError):
+        forest_permutation(info)
+
+
+def test_empty_path_info_places_nothing():
+    info = PathInfo(path_id=np.empty(0, dtype=np.int64), position=np.empty(0, dtype=np.int64))
+    assert forest_permutation(info).size == 0

@@ -22,6 +22,15 @@ def test_validation_rejects_duplicate_columns():
         CSRMatrix(indptr=[0, 2], indices=[1, 1], data=[1.0, 2.0], shape=(1, 2))
 
 
+def test_validation_allows_decreases_only_at_row_starts():
+    # empty rows repeat indptr values, a trailing empty row points at nnz
+    CSRMatrix(indptr=[0, 2, 2, 3, 3], indices=[1, 3, 0], data=[1.0] * 3, shape=(4, 4))
+    with pytest.raises(FormatError, match="strictly increasing"):
+        CSRMatrix(indptr=[0, 1, 1, 3], indices=[2, 1, 0], data=[1.0] * 3, shape=(3, 3))
+    with pytest.raises(FormatError, match="strictly increasing"):
+        CSRMatrix(indptr=[0, 0, 3], indices=[0, 2, 2], data=[1.0] * 3, shape=(2, 3))
+
+
 def test_validation_rejects_decreasing_indptr():
     with pytest.raises(FormatError):
         CSRMatrix(indptr=[0, 2, 1, 3], indices=[0, 1, 0], data=[1.0] * 3, shape=(3, 2))
