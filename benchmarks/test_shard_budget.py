@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import render_table
-from repro.core import extract_linear_forest, extract_linear_forest_sharded
+from repro.core import extract_linear_forest
 from repro.device import Device, DeviceGroup
 from repro.graphs import build_matrix, small_suite
 
@@ -84,7 +84,7 @@ def test_shard_budget(results_dir):
         solo_bytes = solo_dev.total_bytes("")
 
         group = DeviceGroup(DEVICES)
-        sharded = extract_linear_forest_sharded(a, group=group)
+        sharded = extract_linear_forest(a, device=group)
 
         # 1. bit-identity first: the traffic split only counts between
         #    equal results

@@ -68,8 +68,8 @@ from .core import (
     greedy_factor,
     identity_coverage,
     parallel_factor,
-    resolve_devices,
 )
+from .core.partition import resolve_device
 from .device import Device, DeviceGroup
 from .graphs import SUITE, build_matrix, tuning_workloads
 from .obs import (
@@ -174,8 +174,7 @@ def _observed(args, stack: ExitStack) -> _ObsRun | None:
     """Install tracer + metrics for the command body when flags ask for it."""
     if not (getattr(args, "trace", None) or getattr(args, "metrics_out", None)):
         return None
-    n_devices = resolve_devices(getattr(args, "devices", None))
-    device = DeviceGroup(n_devices) if n_devices is not None else Device()
+    device = resolve_device(devices=getattr(args, "devices", None), record=True)
     run = _ObsRun(tracer=Tracer("repro"), metrics=MetricsRegistry(), device=device)
     stack.enter_context(use_tracer(run.tracer))
     stack.enter_context(use_metrics(run.metrics))

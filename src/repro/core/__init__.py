@@ -17,9 +17,10 @@ Layout (paper section in parentheses):
 * :mod:`~repro.core.extraction` — coefficient extraction (§3.3 step 4, §4.3).
 * :mod:`~repro.core.pipeline` — the end-to-end linear-forest extraction with
   the Figure 6 timing breakdown.
-* :mod:`~repro.core.partition` / :mod:`~repro.core.sharded` — 1-D vertex
-  partitioning and the sharded multi-device pipeline with halo exchange
-  (bit-identical to the single-device engines; see ``docs/SHARDING.md``).
+* :mod:`~repro.core.partition` — the 1-D vertex partition every engine
+  above takes with a device group, the halo hook that meters its
+  cross-shard reads, and device-count resolution (bit-identical to one
+  device; see ``docs/SHARDING.md``).
 * :mod:`~repro.core.delta` — incremental extraction for dynamic graphs:
   edit batches, invalidation frontier, frontier-local recompute and splice
   (bit-identical to a from-scratch run; see ``docs/INCREMENTAL.md``).
@@ -53,7 +54,7 @@ from .frontier import (
     resolve_compaction,
 )
 from .greedy import greedy_factor
-from .partition import VertexPartition
+from .partition import VertexPartition, resolve_devices
 from .paths import PathInfo, identify_paths, paths_from_scan
 from .permutation import forest_permutation, is_tridiagonal_under
 from .pipeline import LinearForestResult, extract_linear_forest
@@ -66,7 +67,6 @@ from .scan import (
     ScanResult,
 )
 from .sequential_forest import sequential_linear_forest
-from .sharded import ShardedScan, extract_linear_forest_sharded, resolve_devices
 from .serialization import (
     load_factor,
     load_forest_ordering,
@@ -96,7 +96,6 @@ __all__ = [
     "ParallelFactorConfig",
     "ParallelFactorResult",
     "PathInfo",
-    "ShardedScan",
     "SpanningForest",
     "TridiagonalSystem",
     "VertexPartition",
@@ -111,7 +110,6 @@ __all__ = [
     "coverage",
     "detect_cycles",
     "extract_linear_forest",
-    "extract_linear_forest_sharded",
     "extract_tridiagonal",
     "factor_weight",
     "forest_permutation",

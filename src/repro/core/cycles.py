@@ -20,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._validation import INDEX_DTYPE
-from ..device.device import Device
+from ..device.device import Device, DeviceGroup
 from ..errors import ScanError
 from ..obs import trace_span
 from ..sparse.csr import CSRMatrix
+from .partition import VertexPartition
 from .scan import BidirectionalScan, MinEdgeOperator, NullOperator, ScanResult
 from .structures import Factor
 
@@ -68,9 +69,10 @@ def break_cycles(
     factor: Factor,
     graph: CSRMatrix | None = None,
     *,
-    device: Device | None = None,
+    device: Device | DeviceGroup | None = None,
     scan_result: ScanResult | None = None,
     compaction=None,
+    partition: VertexPartition | None = None,
 ) -> BrokenCycles:
     """Remove the weakest edge of every cycle of a [0,2]-factor.
 
@@ -82,7 +84,8 @@ def break_cycles(
     ``scan_result`` skips the scan: it must be a completed scan of ``factor``
     whose payload carries the :class:`~repro.core.scan.MinEdgeOperator`
     fields ``w``/``u``/``v`` (e.g. from a fused pass); ``graph`` is then
-    unused and may be omitted.
+    unused and may be omitted.  ``device``/``partition`` place the scan as
+    in :class:`~repro.core.scan.BidirectionalScan`.
     """
     with trace_span(
         "break-cycles",
@@ -93,7 +96,9 @@ def break_cycles(
         if scan_result is None:
             if graph is None:
                 raise ScanError("break_cycles requires the weighted graph (or a scan_result)")
-            scan = BidirectionalScan(factor, device=device, compaction=compaction)
+            scan = BidirectionalScan(
+                factor, device=device, compaction=compaction, partition=partition
+            )
             result = scan.run(MinEdgeOperator(), graph)
         else:
             missing = {"w", "u", "v"} - set(scan_result.payload)

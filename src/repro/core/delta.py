@@ -62,7 +62,7 @@ from functools import cached_property
 import numpy as np
 
 from .._validation import INDEX_DTYPE, require
-from ..device.device import Device, DeviceGroup, KernelLaunch, default_device
+from ..device.device import Device, DeviceGroup, KernelLaunch
 from ..device.profiler import TimingBreakdown
 from ..errors import ConfigError, ShapeError
 from ..obs import Tracer, current_metrics, trace_span
@@ -72,6 +72,7 @@ from .coverage import coverage as coverage_of
 from .cycles import BrokenCycles
 from .extraction import TridiagonalSystem
 from .factor import ParallelFactorConfig, ParallelFactorResult, parallel_factor
+from .partition import resolve_device
 from .paths import PathInfo
 from .permutation import forest_permutation, inverse_permutation
 from .pipeline import (
@@ -614,11 +615,11 @@ def apply_edits(
         Algorithm parameters; must match the previous run (default: the
         paper's defaults with n = 2).
     device / devices:
-        As in :func:`~repro.core.pipeline.extract_linear_forest`.
-        ``devices > 1`` (or a :class:`~repro.device.device.DeviceGroup`)
-        falls back to a full sharded re-run with a
+        As in :func:`~repro.core.pipeline.extract_linear_forest`.  A
+        :class:`~repro.device.device.DeviceGroup` of more than one device
+        (or ``devices > 1``) falls back to a full sharded re-run with a
         :class:`DeltaFallbackWarning` — the halo protocol has no incremental
-        path yet.
+        path yet; a one-device group runs the delta on its device.
     compaction:
         Frontier-compaction policy for the frontier-local recompute; results
         are bit-identical under every policy.
@@ -657,30 +658,17 @@ def apply_edits(
 
     a_new = apply_edits_to_matrix(a, edits)
 
-    # device resolution mirrors extract_linear_forest: a group (or an
-    # ambient/explicit device count > 1) means a sharded run — which the
-    # delta engine cannot splice yet, so it degrades to a full re-run
+    # device resolution is extract_linear_forest's: a group of several
+    # devices means a sharded run — which the delta engine cannot splice
+    # yet, so it degrades to a full re-run; one device is the solo case
+    device = resolve_device(device, devices)
     if isinstance(device, DeviceGroup):
-        return _fallback(
-            edits, a_new, config, "sharded", warn=True,
-            device=device, devices=devices, compaction=compaction,
-        )
-    if devices is not None or device is None:
-        from .sharded import resolve_devices
-
-        devices = resolve_devices(devices)
-    if devices is not None and devices > 1:
-        if device is not None:
-            raise ConfigError(
-                "pass a DeviceGroup (or no device) together with devices=; "
-                "a single Device cannot host a sharded run"
+        if len(device) > 1:
+            return _fallback(
+                edits, a_new, config, "sharded", warn=True,
+                device=device, compaction=compaction,
             )
-        return _fallback(
-            edits, a_new, config, "sharded", warn=True,
-            devices=devices, compaction=compaction,
-        )
-
-    device = device or default_device()
+        device = device[0]
     timings = TimingBreakdown()
     radius = invalidation_radius(config)
 

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._validation import VALUE_DTYPE, as_value_array, check_square
-from ..device.device import Device, default_device
+from ..device.device import Device, DeviceGroup
 from ..errors import ShapeError
 from ..obs import trace_span
 from ..sparse.csr import CSRMatrix
+from .partition import Placement, VertexPartition, group_attrs
 from .permutation import inverse_permutation
 from .structures import Factor
 
@@ -92,7 +93,8 @@ def extract_tridiagonal(
     forest: Factor,
     perm: np.ndarray,
     *,
-    device: Device | None = None,
+    device: Device | DeviceGroup | None = None,
+    partition: VertexPartition | None = None,
 ) -> TridiagonalSystem:
     """Scatter the linear-forest coefficients of ``A`` into band storage.
 
@@ -100,40 +102,62 @@ def extract_tridiagonal(
     main diagonal of ``A``) enter the system — an incidental coupling between
     the last vertex of one path and the first of the next is *not* included,
     exactly as in the paper's implementation.
+
+    A :class:`~repro.device.device.DeviceGroup` as ``device`` splits the
+    scatter by matrix row over ``partition`` (default: uniform over the
+    group); a value whose permuted position lands in another shard's band
+    range ships over the interconnect (``halo.bands``).
     """
     n = check_square(a.shape)
-    device = device or default_device()
+    placement = Placement(device, n, partition)
     new_index = inverse_permutation(perm)
     # the bands inherit the input precision: a float32 matrix yields a
     # float32 system (the paper's single-precision benchmark path)
     band_dtype = a.data.dtype
     dl = np.zeros(n, dtype=band_dtype)
     du = np.zeros(n, dtype=band_dtype)
+    d = np.zeros(n, dtype=band_dtype)
+    # COO keeps the CSR order, so a shard's rows are the slice at indptr
     coo = a.to_coo()
+    value_msg_bytes = int(np.dtype(band_dtype).itemsize) + 8  # value + position
     with trace_span(
         "extract-tridiagonal",
         category="stage",
         n=n,
         nnz=a.nnz,
         dtype=str(band_dtype),
-    ), device.launch(
-        "extract-coefficients", reads=(coo.row, coo.col, coo.val), writes=(dl, du)
+        **group_attrs(device),
     ):
-        d = np.zeros(n, dtype=band_dtype)
-        on_diag = coo.row == coo.col
-        d[new_index[coo.row[on_diag]]] = coo.val[on_diag]
-        off = ~on_diag
-        rows = coo.row[off]
-        cols = coo.col[off]
-        vals = coo.val[off]
-        in_forest = forest.contains_edges(rows, cols)
-        rows = rows[in_forest]
-        cols = cols[in_forest]
-        vals = vals[in_forest]
-        p_row = new_index[rows]
-        p_col = new_index[cols]
-        sub = p_col == p_row - 1
-        sup = p_col == p_row + 1
-        dl[p_row[sub]] = vals[sub]
-        du[p_row[sup]] = vals[sup]
+        for s, dev, lo, hi in placement.shards:
+            e0, e1 = int(a.indptr[lo]), int(a.indptr[hi])
+            rows = coo.row[e0:e1]
+            cols = coo.col[e0:e1]
+            vals = coo.val[e0:e1]
+            with dev.launch(
+                "extract-coefficients",
+                reads=(rows, cols, vals),
+                writes=(dl[lo:hi], du[lo:hi]),
+            ):
+                on_diag = rows == cols
+                p_diag = new_index[rows[on_diag]]
+                d[p_diag] = vals[on_diag]
+                off = ~on_diag
+                r2 = rows[off]
+                c2 = cols[off]
+                v2 = vals[off]
+                in_forest = forest.contains_edges(r2, c2)
+                r2, c2, v2 = r2[in_forest], c2[in_forest], v2[in_forest]
+                p_row = new_index[r2]
+                p_col = new_index[c2]
+                sub = p_col == p_row - 1
+                sup = p_col == p_row + 1
+                dl[p_row[sub]] = v2[sub]
+                du[p_row[sup]] = v2[sup]
+                placement.halo(
+                    s,
+                    lambda: np.concatenate([p_diag, p_row[sub], p_row[sup]]),
+                    value_msg_bytes,
+                    "halo.bands",
+                    push=True,
+                )
     return TridiagonalSystem(dl=dl, d=d, du=du)

@@ -30,18 +30,22 @@ the paper-exact full-nnz round survives in :mod:`repro.core.ablations`.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .._validation import INDEX_DTYPE, require
-from ..device.device import Device, default_device
+from ..device.device import Device, DeviceGroup
 from ..obs import trace_span
 from ..errors import FactorError, ShapeError
 from ..sparse.csr import CSRMatrix
 from ..sparse.topn import top_n_per_row, validate_proposition_weights
 from .charge import vertex_charges
 from .coverage import coverage as coverage_of
+from .frontier import resolve_compaction
+from .partition import Placement, VertexPartition, group_attrs
+from .proposer import PropositionEngine
 from .structures import NO_PARTNER, Factor
 
 __all__ = [
@@ -50,6 +54,12 @@ __all__ = [
     "parallel_factor",
     "propose_edges",
 ]
+
+#: Interconnect bytes per remote vertex whose degree a proposing shard pulls
+#: (a remote proposal row costs ``n`` of these words).
+_DEGREE_HALO_BYTES = 8
+#: Interconnect bytes per remote vertex whose charge flag is pulled.
+_CHARGE_HALO_BYTES = 1
 
 
 @dataclass(frozen=True)
@@ -178,13 +188,23 @@ def _confirm_mutual(
     confirmed: np.ndarray,
     degree: np.ndarray,
     prop_cols: np.ndarray,
+    lo: int = 0,
+    hi: int | None = None,
 ) -> int:
-    """Keep mutually proposed edges (Alg. 2 line 27); returns #new entries."""
-    valid = prop_cols != NO_PARTNER
+    """Keep mutually proposed edges (Alg. 2 line 27) of the proposing rows
+    ``[lo, hi)`` (default: all rows); returns #new entries.
+
+    A new partner's slot is its occurrence rank among its row's confirms, so
+    the rows of a range are written exactly as a whole-graph call writes them.
+    """
+    local = prop_cols[lo:hi]
+    valid = local != NO_PARTNER
     v_idx, slots = np.nonzero(valid)
     if v_idx.size == 0:
         return 0
-    w = prop_cols[v_idx, slots]
+    w = local[v_idx, slots]
+    if lo:
+        v_idx = v_idx + lo
     mutual = (prop_cols[w] == v_idx[:, None]).any(axis=1)
     new_v = v_idx[mutual]
     new_w = w[mutual]
@@ -200,7 +220,8 @@ def parallel_factor(
     graph: CSRMatrix,
     config: ParallelFactorConfig | None = None,
     *,
-    device: Device | None = None,
+    device: Device | DeviceGroup | None = None,
+    partition: VertexPartition | None = None,
     coverage_matrix: CSRMatrix | None = None,
     compaction=None,
     charge_ids: np.ndarray | None = None,
@@ -216,7 +237,15 @@ def parallel_factor(
         Algorithm parameters; defaults to the paper's default configuration
         (n = 2, M = 5, m = 5, k_m = 0, p = 0.5).
     device:
-        Device used for kernel-launch accounting.
+        Device used for kernel-launch accounting.  A
+        :class:`~repro.device.device.DeviceGroup` shards the rounds over a
+        1-D vertex partition: every kernel launches once per non-empty
+        shard on that shard's device, and reads of remote degrees, charges
+        and proposal rows are metered on the group's interconnect.  The
+        factor is bit-identical for every device count.
+    partition:
+        The :class:`~repro.core.partition.VertexPartition` of a group run
+        (default: uniform over the group's devices).
     coverage_matrix:
         When given, the coverage history c_π(k) is tracked against this
         (original) matrix after every iteration — this is how Table 4 reports
@@ -228,7 +257,8 @@ def parallel_factor(
         or ``"auto"`` — the :mod:`repro.tune` cache lookup keyed by the
         graph's fingerprint), or ``None`` to honour ``REPRO_COMPACTION``
         (default eager).  The factor is bit-identical under every policy;
-        only traffic differs.
+        only traffic differs.  Each shard consults the policy against its
+        own frontier.
     charge_ids:
         Identity array fed to the charge hash instead of the global vertex
         ids (see :func:`repro.core.charge.vertex_charges`).  The batch
@@ -236,12 +266,14 @@ def parallel_factor(
         like its members would solo.
     """
     config = config or ParallelFactorConfig()
-    device = device or default_device()
     n_vertices = graph.n_rows
     n = config.n
     if graph.n_rows != graph.n_cols:
         raise ShapeError("graph adjacency must be square")
     validate_proposition_weights(graph.data)
+    placement = Placement(device, n_vertices, partition)
+    # one concrete policy for every shard ("auto" fingerprints the graph once)
+    policy = resolve_compaction(compaction, graph=graph)
 
     confirmed = np.full((n_vertices, n), NO_PARTNER, dtype=INDEX_DTYPE)
     coverage_history: list[float] = []
@@ -253,10 +285,16 @@ def parallel_factor(
 
     # the proposition's sort key depends only on the graph: hoist it out of
     # the rounds, and keep only the still-active edge frontier in play
-    # (see repro.core.proposer for the frontier invariant)
-    from .proposer import PropositionEngine
+    # (see repro.core.proposer for the frontier invariant); one engine per
+    # shard, each owning its rows' frontier
+    engines = [
+        (s, dev, PropositionEngine(graph, n, compaction=policy, rows=(lo, hi)))
+        for s, dev, lo, hi in placement.shards
+    ]
 
-    engine = PropositionEngine(graph, n, compaction=compaction)
+    def _track_coverage() -> None:
+        if coverage_matrix is not None:
+            coverage_history.append(coverage_of(coverage_matrix, Factor(confirmed)))
 
     with trace_span(
         "parallel-factor",
@@ -264,12 +302,14 @@ def parallel_factor(
         n=n,
         max_iterations=config.max_iterations,
         n_vertices=n_vertices,
-        total_edges=engine.total_edges,
-        compaction=engine.policy.name,
+        total_edges=graph.nnz,
+        compaction=policy.name,
+        **group_attrs(device),
     ) as stage:
         for k in range(config.max_iterations):
             charging = config.charging_enabled(k)
-            frontier_history.append(engine.frontier_size)
+            frontier = sum(engine.frontier_size for _, _, engine in engines)
+            frontier_history.append(frontier)
             iterations = k + 1
 
             with trace_span(
@@ -277,9 +317,9 @@ def parallel_factor(
                 category="stage",
                 k=k,
                 charging=charging,
-                frontier=engine.frontier_size,
+                frontier=frontier,
             ) as round_span:
-                if engine.frontier_size == 0:
+                if frontier == 0:
                     # Every edge retired: no round can ever propose again.  The
                     # outcome of the paper's launches is fully known, so none fire.
                     proposals_history.append(0)
@@ -289,30 +329,47 @@ def parallel_factor(
                         # |π(V)| = |π'(V)| on an un-charged round: maximal factor
                         m_max = k + 1
                         converged = True
-                        if coverage_matrix is not None:
-                            coverage_history.append(
-                                coverage_of(coverage_matrix, Factor(confirmed))
-                            )
+                        _track_coverage()
                         break
-                    if coverage_matrix is not None:
-                        coverage_history.append(
-                            coverage_of(coverage_matrix, Factor(confirmed))
-                        )
+                    _track_coverage()
                     continue
 
                 charges = None
                 if charging:
-                    with device.launch(f"charge[k={k}]", writes=()):
-                        charges = vertex_charges(
-                            n_vertices, k, p=config.p, seed=config.seed,
-                            ids=charge_ids,
-                        )
+                    charges = np.empty(n_vertices, dtype=bool)
+                    for _, dev, engine in engines:
+                        lo, hi = engine.lo, engine.hi
+                        with dev.launch(f"charge[k={k}]"):
+                            charges[lo:hi] = vertex_charges(
+                                hi - lo, k, p=config.p, seed=config.seed,
+                                ids=(
+                                    charge_ids[lo:hi]
+                                    if charge_ids is not None
+                                    else np.arange(lo, hi, dtype=np.uint32)
+                                ),
+                            )
 
-                with device.launch(f"propose[k={k}]") as kl:
-                    prop_cols, _prop_vals, prop_counts = engine.propose(
-                        confirmed, charges=charges, launch=kl
-                    )
-                total_proposals = int(prop_counts.sum())
+                parts = []
+                total_proposals = 0
+                for s, dev, engine in engines:
+                    if engine.frontier_size == 0:
+                        # a converged shard never launches
+                        parts.append(
+                            np.full((engine.hi - engine.lo, n), NO_PARTNER, dtype=INDEX_DTYPE)
+                        )
+                        continue
+                    placement.halo(s, engine.live_cols, _DEGREE_HALO_BYTES, "halo.degree")
+                    if charging:
+                        placement.halo(
+                            s, engine.live_cols, _CHARGE_HALO_BYTES, "halo.charges"
+                        )
+                    with dev.launch(f"propose[k={k}]") as kl:
+                        local_cols, _prop_vals, counts = engine.propose(
+                            confirmed, charges=charges, launch=kl
+                        )
+                    parts.append(local_cols)
+                    total_proposals += int(counts.sum())
+                prop_cols = parts[0] if len(parts) == 1 else np.concatenate(parts)
                 proposals_history.append(total_proposals)
                 if round_span is not None:
                     round_span.attributes["proposals"] = total_proposals
@@ -322,41 +379,57 @@ def parallel_factor(
                         # |π(V)| = |π'(V)| on an un-charged round: maximal factor
                         m_max = k + 1
                         converged = True
-                        if coverage_matrix is not None:
-                            coverage_history.append(
-                                coverage_of(coverage_matrix, Factor(confirmed))
-                            )
+                        _track_coverage()
                         break
                     # charge starvation: nothing to mutualize, the factor (and
                     # therefore the frontier) is unchanged — skip both launches
-                    if coverage_matrix is not None:
-                        coverage_history.append(
-                            coverage_of(coverage_matrix, Factor(confirmed))
-                        )
+                    _track_coverage()
                     continue
 
+                # Mutualize: every shard confirms against the frozen proposal
+                # array (concurrent launches, like a scan step) before any
+                # shard re-derives its frontier from the updated factor — a
+                # boundary edge whose far endpoint just saturated must retire
+                # this round, exactly as on one device.
                 degree = (confirmed != NO_PARTNER).sum(axis=1).astype(INDEX_DTYPE)
-                with device.launch(
-                    f"mutualize[k={k}]", reads=(prop_cols,), writes=(confirmed,)
-                ) as kl:
-                    n_new = _confirm_mutual(confirmed, degree, prop_cols)
-                    if n_new:
-                        engine.compact(
-                            confirmed,
-                            launch=kl,
-                            rounds_remaining=config.max_iterations - (k + 1),
+                n_new = 0
+                with ExitStack() as stack:
+                    launched = []
+                    for s, dev, engine in engines:
+                        local = prop_cols[engine.lo : engine.hi]
+                        if engine.frontier_size == 0 and not (local != NO_PARTNER).any():
+                            continue
+                        placement.halo(
+                            s, lambda: local[local != NO_PARTNER],
+                            n * _DEGREE_HALO_BYTES, "halo.props",
                         )
-                    kl.telemetry(
-                        active_lanes=engine.frontier_size,
-                        total_lanes=engine.total_edges,
-                    )
+                        kl = stack.enter_context(
+                            dev.launch(
+                                f"mutualize[k={k}]",
+                                reads=(local,),
+                                writes=(confirmed[engine.lo : engine.hi],),
+                            )
+                        )
+                        launched.append((engine, kl))
+                    for engine, _ in launched:
+                        n_new += _confirm_mutual(
+                            confirmed, degree, prop_cols, engine.lo, engine.hi
+                        )
+                    for engine, kl in launched:
+                        if n_new:
+                            engine.compact(
+                                confirmed,
+                                launch=kl,
+                                rounds_remaining=config.max_iterations - (k + 1),
+                            )
+                        kl.telemetry(
+                            active_lanes=engine.frontier_size,
+                            total_lanes=engine.total_edges,
+                        )
                 if round_span is not None:
                     round_span.attributes["confirmed_new"] = n_new
 
-                if coverage_matrix is not None:
-                    coverage_history.append(
-                        coverage_of(coverage_matrix, Factor(confirmed))
-                    )
+                _track_coverage()
 
         if stage is not None:
             stage.attributes.update(
@@ -371,6 +444,6 @@ def parallel_factor(
         coverage_history=coverage_history,
         proposals_per_iteration=proposals_history,
         frontier_history=frontier_history,
-        compaction_decisions=list(engine.decisions),
-        gathered_elements=engine.gathered_elements,
+        compaction_decisions=[d for _, _, engine in engines for d in engine.decisions],
+        gathered_elements=sum(engine.gathered_elements for _, _, engine in engines),
     )

@@ -16,8 +16,9 @@ from functools import cached_property
 import numpy as np
 
 from .._validation import INDEX_DTYPE
-from ..device.device import Device
+from ..device.device import Device, DeviceGroup
 from ..errors import ScanError
+from .partition import VertexPartition
 from .scan import AddOperator, BidirectionalScan, ScanResult, decode_end
 from .structures import Factor
 
@@ -82,15 +83,19 @@ def paths_from_scan(result: ScanResult) -> PathInfo:
 def identify_paths(
     forest: Factor,
     *,
-    device: Device | None = None,
+    device: Device | DeviceGroup | None = None,
     compaction=None,
+    partition: VertexPartition | None = None,
 ) -> PathInfo:
     """Run the position scan on a linear forest.
 
     ``compaction`` selects the scan's frontier-compaction policy (see
-    :mod:`repro.core.frontier`).  Raises :class:`~repro.errors.ScanError`
-    when the factor still contains a cycle — run
-    :func:`repro.core.cycles.break_cycles` first.
+    :mod:`repro.core.frontier`); ``device``/``partition`` place it as in
+    :class:`~repro.core.scan.BidirectionalScan`.  Raises
+    :class:`~repro.errors.ScanError` when the factor still contains a
+    cycle — run :func:`repro.core.cycles.break_cycles` first.
     """
-    scan = BidirectionalScan(forest, device=device, compaction=compaction)
+    scan = BidirectionalScan(
+        forest, device=device, compaction=compaction, partition=partition
+    )
     return paths_from_scan(scan.run(AddOperator()))

@@ -13,15 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..device.device import Device, default_device
+from ..device.device import Device, DeviceGroup
 from ..device.profiler import TimingBreakdown
-from ..obs import trace_span
+from ..obs import current_metrics, trace_span
 from ..sparse.build import prepare_graph
 from ..sparse.csr import CSRMatrix
 from .coverage import coverage as coverage_of
 from .cycles import BrokenCycles, break_cycles
 from .extraction import TridiagonalSystem, extract_tridiagonal
 from .factor import ParallelFactorConfig, ParallelFactorResult, parallel_factor
+from .frontier import resolve_compaction
+from .partition import VertexPartition, group_attrs, resolve_device
 from .paths import PathInfo, identify_paths, paths_from_scan
 from .permutation import forest_permutation
 from .scan import AddOperator, BidirectionalScan, FusedOperator, MinEdgeOperator
@@ -81,8 +83,9 @@ def extract_linear_forest(
     a: CSRMatrix,
     config: ParallelFactorConfig | None = None,
     *,
-    device: Device | None = None,
+    device: Device | DeviceGroup | None = None,
     devices: int | None = None,
+    partition: VertexPartition | None = None,
     merged_scan: bool = True,
     compaction=None,
     prepared_graph: CSRMatrix | None = None,
@@ -94,14 +97,15 @@ def extract_linear_forest(
     remaining parameters default to the paper's default configuration
     (M = 5, m = 5, k_m = 0, p = 0.5).
 
-    ``devices`` (or a :class:`~repro.device.device.DeviceGroup` passed as
-    ``device``) routes the run through the sharded engine
-    (:mod:`repro.core.sharded`) — N simulated GPUs over a uniform 1-D vertex
-    partition with halo exchange on the group's interconnect.  When neither
+    A :class:`~repro.device.device.DeviceGroup` as ``device`` (or a device
+    count ``devices``, which builds a non-recording group) shards every
+    engine over a 1-D vertex partition — ``partition``, default uniform —
+    with halo exchange metered on the group's interconnect.  When neither
     is given, ``REPRO_DEVICES`` selects the ambient device count; an
     explicit single :class:`~repro.device.device.Device` always pins the
-    classic single-device path.  Results are bit-identical for every device
-    count (see ``docs/SHARDING.md``).
+    one-shard path (see :func:`repro.core.partition.resolve_device`).
+    Results are bit-identical for every device count (see
+    ``docs/SHARDING.md``).
 
     With ``merged_scan`` (the default) the cycle scan carries the position
     accumulator as a fused payload.  When the factor turns out acyclic — the
@@ -127,44 +131,14 @@ def extract_linear_forest(
     overrides the vertex identities hashed by the charge kernel (see
     :func:`repro.core.charge.vertex_charges`).
     """
-    from ..device.device import DeviceGroup
-    from .frontier import resolve_compaction
-
-    if isinstance(device, DeviceGroup):
-        from .sharded import extract_linear_forest_sharded
-
-        return extract_linear_forest_sharded(
-            a, config, group=device, devices=devices, merged_scan=merged_scan,
-            compaction=compaction, prepared_graph=prepared_graph,
-            charge_ids=charge_ids,
-        )
-    if devices is not None or device is None:
-        # an explicit single Device pins the classic path even when
-        # REPRO_DEVICES is set; otherwise the env var is the ambient default
-        from .sharded import resolve_devices
-
-        devices = resolve_devices(devices)
-    if devices is not None:
-        if device is not None:
-            from ..errors import ConfigError
-
-            raise ConfigError(
-                "pass a DeviceGroup (or no device) together with devices=; "
-                "a single Device cannot host a sharded run"
-            )
-        from .sharded import extract_linear_forest_sharded
-
-        return extract_linear_forest_sharded(
-            a, config, devices=devices, merged_scan=merged_scan,
-            compaction=compaction, prepared_graph=prepared_graph,
-            charge_ids=charge_ids,
-        )
-
     config = config or ParallelFactorConfig(n=2)
     if config.n != 2:
         raise ValueError(f"linear-forest extraction requires n=2, got n={config.n}")
-    device = device or default_device()
+    device = resolve_device(device, devices)
+    group = device if isinstance(device, DeviceGroup) else None
     timings = TimingBreakdown()
+    metrics = current_metrics() if group is not None else None
+    halo_before = group.interconnect.total_bytes() if group is not None else 0
 
     with trace_span(
         "extract-linear-forest",
@@ -173,6 +147,7 @@ def extract_linear_forest(
         nnz=a.nnz,
         merged_scan=merged_scan,
         dtype=str(a.data.dtype),
+        **group_attrs(device),
     ) as root:
         with timings.phase(PHASE_FACTOR):
             graph = prepared_graph if prepared_graph is not None else prepare_graph(a)
@@ -182,15 +157,19 @@ def extract_linear_forest(
             policy = resolve_compaction(compaction, graph=graph)
             if root is not None:
                 root.attributes["compaction"] = policy.name
+            if metrics is not None:
+                metrics.counter("shard.runs").inc()
+                metrics.gauge("shard.devices").set(len(group))
             factor_result = parallel_factor(
-                graph, config, device=device, compaction=policy,
-                charge_ids=charge_ids,
+                graph, config, device=device, partition=partition,
+                compaction=policy, charge_ids=charge_ids,
             )
 
         with timings.phase(PHASE_SCANS):
             if merged_scan:
                 scan = BidirectionalScan(
-                    factor_result.factor, device=device, compaction=policy
+                    factor_result.factor, device=device, partition=partition,
+                    compaction=policy,
                 )
                 fused = scan.run(FusedOperator((MinEdgeOperator(), AddOperator())), graph)
                 broken = break_cycles(factor_result.factor, scan_result=fused)
@@ -199,17 +178,24 @@ def extract_linear_forest(
                     paths = paths_from_scan(fused)
                 else:
                     paths = identify_paths(
-                        broken.forest, device=device, compaction=policy
+                        broken.forest, device=device, partition=partition,
+                        compaction=policy,
                     )
             else:
                 broken = break_cycles(
-                    factor_result.factor, graph, device=device, compaction=policy
+                    factor_result.factor, graph, device=device,
+                    partition=partition, compaction=policy,
                 )
-                paths = identify_paths(broken.forest, device=device, compaction=policy)
+                paths = identify_paths(
+                    broken.forest, device=device, partition=partition,
+                    compaction=policy,
+                )
             perm = forest_permutation(paths)
 
         with timings.phase(PHASE_EXTRACT):
-            tridiagonal = extract_tridiagonal(a, broken.forest, perm, device=device)
+            tridiagonal = extract_tridiagonal(
+                a, broken.forest, perm, device=device, partition=partition
+            )
 
         cov = coverage_of(a, broken.forest)
         if root is not None:
@@ -219,6 +205,12 @@ def extract_linear_forest(
                 n_paths=paths.n_paths,
                 factor_iterations=factor_result.iterations,
             )
+        if group is not None:
+            halo_bytes = group.interconnect.total_bytes() - halo_before
+            if metrics is not None:
+                metrics.counter("shard.halo.bytes").inc(halo_bytes)
+            if root is not None:
+                root.attributes["interconnect_bytes"] = halo_bytes
 
     return LinearForestResult(
         graph=graph,

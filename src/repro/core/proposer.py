@@ -221,6 +221,13 @@ class PropositionEngine:
     loop threads into :meth:`repro.device.device.Device.launch`;
     ``frontier_size`` always counts *live* edges, so convergence curves and
     the factor loop's empty-frontier exit are policy-independent.
+
+    ``rows=(lo, hi)`` restricts the engine to one contiguous row range —
+    one shard of a :class:`~repro.core.partition.VertexPartition` — and
+    :meth:`propose` then returns that range's rows of the proposal arrays.
+    Selection is a per-row rank, so the shards' rows concatenate into the
+    whole-graph result bit for bit; reads of ``confirmed`` and ``charges``
+    outside the range are the halo the caller meters.
     """
 
     def __init__(
@@ -229,12 +236,19 @@ class PropositionEngine:
         n: int,
         *,
         compaction: CompactionPolicy | str | None = None,
+        rows: tuple[int, int] | None = None,
     ):
         if n < 1:
             raise ShapeError(f"n must be >= 1, got {n}")
-        validate_proposition_weights(graph.data)
+        lo, hi = (0, graph.n_rows) if rows is None else (int(rows[0]), int(rows[1]))
+        if not 0 <= lo <= hi <= graph.n_rows:
+            raise ShapeError(f"rows must lie in [0, {graph.n_rows}], got {rows}")
+        s0, s1 = int(graph.indptr[lo]), int(graph.indptr[hi])
+        validate_proposition_weights(graph.data[s0:s1])
         self.graph = graph
         self.n = int(n)
+        #: The half-open row range ``[lo, hi)`` this engine proposes for.
+        self.lo, self.hi = lo, hi
         # the graph enables the "auto" spec to fingerprint-match the tuning cache
         self.policy = resolve_compaction(compaction, graph=graph)
         #: Per-round compaction decisions, in :meth:`compact` call order.
@@ -243,11 +257,15 @@ class PropositionEngine:
         #: (3 per surviving frontier entry: row, col, value).
         self.gathered_elements = 0
         self._n_vertices = graph.n_rows
-        rows = graph.nnz_rows
-        order = proposal_order(rows, graph.data)
+        self._total_edges = s1 - s0
+        # the Table 1 order restricted to a row range is the range's own
+        # order: positions shift by a constant inside contiguous rows
+        rows = graph.nnz_rows[s0:s1]
+        data = graph.data[s0:s1]
+        order = proposal_order(rows, data)
         rows = rows[order]
-        cols = graph.indices[order]
-        vals = np.asarray(graph.data, dtype=VALUE_DTYPE)[order]
+        cols = graph.indices[s0:s1][order]
+        vals = np.asarray(data, dtype=VALUE_DTYPE)[order]
         # self loops are permanently ineligible: retire them up front
         live = cols != rows
         if not bool(live.all()):
@@ -278,15 +296,20 @@ class PropositionEngine:
 
     @property
     def total_edges(self) -> int:
-        """The frontier denominator: all nonzeros of the prepared graph."""
-        return self.graph.nnz
+        """The frontier denominator: all nonzeros of the engine's rows."""
+        return self._total_edges
+
+    def live_cols(self) -> np.ndarray:
+        """Proposal-target columns of the still-live frontier entries."""
+        return self._cols if self._live is None else self._cols[self._live]
 
     def _recompute_segments(self) -> None:
-        counts = np.bincount(self._rows, minlength=self._n_vertices).astype(
-            INDEX_DTYPE
-        )
-        starts = np.zeros(self._n_vertices, dtype=INDEX_DTYPE)
-        if self._n_vertices > 1:
+        # segments are indexed by the row's offset inside the engine's range
+        n_local = self.hi - self.lo
+        self._rows_local = self._rows if self.lo == 0 else self._rows - self.lo
+        counts = np.bincount(self._rows_local, minlength=n_local).astype(INDEX_DTYPE)
+        starts = np.zeros(n_local, dtype=INDEX_DTYPE)
+        if n_local > 1:
             np.cumsum(counts[:-1], out=starts[1:])
         self._row_starts = starts
         self._row_counts = counts
@@ -301,17 +324,22 @@ class PropositionEngine:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One frontier-compacted proposition round.
 
-        Same output contract as :func:`repro.core.factor.propose_edges`.
-        Only the charge mask is recomputed: the frontier invariant
-        guarantees every remaining edge has two unsaturated endpoints and
-        is not yet confirmed.
+        Same output contract as :func:`repro.core.factor.propose_edges`,
+        restricted to the engine's rows: the arrays have one row per vertex
+        of ``[lo, hi)``.  Only the charge mask is recomputed: the frontier
+        invariant guarantees every remaining edge has two unsaturated
+        endpoints and is not yet confirmed.
         """
         n = self.n
         n_vertices = self._n_vertices
         if confirmed.shape != (n_vertices, n):
             raise ShapeError(f"confirmed must have shape {(n_vertices, n)}")
         rows, cols, vals = self._rows, self._cols, self._vals
-        degree = (confirmed != NO_PARTNER).sum(axis=1).astype(INDEX_DTYPE)
+        rows_local = self._rows_local
+        n_local = self.hi - self.lo
+        degree = (confirmed[self.lo : self.hi] != NO_PARTNER).sum(axis=1).astype(
+            INDEX_DTYPE
+        )
         capacity = n - degree
 
         # Under a deferred compaction the buffers carry dead entries; they
@@ -329,11 +357,11 @@ class PropositionEngine:
                 eligible &= self._live
 
         rank = _segmented_rank(
-            rows, eligible, self._row_starts, self._row_counts, n_vertices
+            rows_local, eligible, self._row_starts, self._row_counts, n_local
         )
-        selected = eligible & (rank < capacity[rows])
+        selected = eligible & (rank < capacity[rows_local])
         prop_cols, prop_vals, counts = _scatter_proposals(
-            rows, cols, vals, selected, rank, n_vertices, n
+            rows_local, cols, vals, selected, rank, n_local, n
         )
         if launch is not None:
             # The pre-sorted frontier makes the selection purely rank-based:
@@ -346,7 +374,7 @@ class PropositionEngine:
             # trades against the gather cost.
             launch.reads(rows, cols, degree, vals[: int(counts.sum())])
             if charges is not None:
-                launch.reads(charges)
+                launch.reads(charges[self.lo : self.hi])
             if self._live is not None:
                 launch.reads(self._live)
             launch.writes(prop_cols, prop_vals, counts)
@@ -403,7 +431,7 @@ class PropositionEngine:
             if launch is not None:
                 # the gather reads the old frontier triple (the keep mask is
                 # computed in-kernel), the scatter writes the compacted one
-                launch.reads(rows, cols, self._vals, confirmed)
+                launch.reads(rows, cols, self._vals, confirmed[self.lo : self.hi])
             self._rows = rows[live]
             self._cols = cols[live]
             self._vals = self._vals[live]
@@ -416,6 +444,6 @@ class PropositionEngine:
             self._live = live
             if launch is not None:
                 # no gather: the kernel only refreshes the live mask
-                launch.reads(rows, cols, confirmed)
+                launch.reads(rows, cols, confirmed[self.lo : self.hi])
                 launch.writes(live)
         return newly_dead

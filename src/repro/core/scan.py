@@ -57,13 +57,14 @@ payloads through one butterfly pass.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .._validation import INDEX_DTYPE, VALUE_DTYPE
-from ..device.device import Device, default_device
+from ..device.device import Device, DeviceGroup, default_device
 from ..errors import ScanError
 from ..obs import trace_span
 from ..sparse.csr import CSRMatrix
@@ -75,6 +76,7 @@ from .frontier import (
     resolve_compaction,
     wants_auto,
 )
+from .partition import Placement, VertexPartition, group_attrs
 from .structures import NO_PARTNER, Factor
 
 __all__ = [
@@ -393,14 +395,26 @@ class BidirectionalScan:
     see the module docstring); the paper's exhaustive formulation survives as
     :class:`~repro.core.ablations.ReferenceScan` and the two are
     property-tested to produce bit-identical results.
+
+    A :class:`~repro.device.device.DeviceGroup` as ``device`` shards the
+    lanes by vertex over ``partition`` (default: uniform over the group).
+    Each step is then one *synchronized halo-exchange round*: every active
+    shard's launch opens at once, all shards gather their active lanes' far
+    tuples — pulling tuples owned by other shards over the interconnect
+    (``halo.scan``) — and only then does any shard scatter.  All reads of a
+    step complete before any write, the ping-pong discipline of one device,
+    so after every step each lane holds exactly the single-device state.
+    Candidate lists and compaction verdicts are per shard; a shard whose
+    lanes have all clamped stops launching while its peers keep jumping.
     """
 
     def __init__(
         self,
         factor: Factor,
         *,
-        device: Device | None = None,
+        device: Device | DeviceGroup | None = None,
         compaction: CompactionPolicy | str | None = None,
+        partition: VertexPartition | None = None,
     ):
         if factor.n > 2:
             raise ScanError(
@@ -408,6 +422,7 @@ class BidirectionalScan:
             )
         self.factor = factor
         self.device = device or default_device()
+        self._placement = Placement(self.device, factor.n_vertices, partition)
         self._compaction = compaction
         # "auto" fingerprints the graph, which only run() receives — defer it
         self.policy = None if wants_auto(compaction) else resolve_compaction(compaction)
@@ -446,7 +461,6 @@ class BidirectionalScan:
         nominal = scan_steps(n_vertices)
         n_steps = nominal if steps is None else max(0, min(int(steps), nominal))
         label = operator_label(operator)
-        total_lanes = 2 * n_vertices
 
         # Live state: one buffer per array.  The per-step gathers below
         # snapshot everything a launch reads before it writes, which is the
@@ -463,11 +477,12 @@ class BidirectionalScan:
             category="stage",
             operator=label,
             steps=n_steps,
-            total_lanes=total_lanes,
+            total_lanes=2 * n_vertices,
             compaction=self.policy.name,
+            **group_attrs(self.device),
         ) as stage:
             launches, active_history, decisions = self._run_steps(
-                operator, q, payload, names, n_steps, label, total_lanes
+                operator, q, payload, names, n_steps, label
             )
             if stage is not None:
                 stage.attributes.update(
@@ -491,101 +506,126 @@ class BidirectionalScan:
         names: tuple[str, ...],
         n_steps: int,
         label: str,
-        total_lanes: int,
     ) -> tuple[int, list[int], list[CompactionDecision]]:
         """The butterfly step loop; mutates ``q``/``payload`` in place."""
         ids = self._ids
+        placement = self._placement
         launches = 0
         active_history: list[int] = []
         decisions: list[CompactionDecision] = []
-        # Per-lane candidate lists: supersets of the active (unclamped)
-        # lanes.  The compaction policy decides when a list is re-gathered
-        # down to exactly the active set; until then dead candidates ride
-        # along and are skipped in-kernel (their id + marker reads are the
-        # accounted dead-lane traffic the adaptive policy trades off).
-        cand = [self._ids, self._ids]
+        # Per-shard, per-lane candidate lists: supersets of the active
+        # (unclamped) lanes.  The compaction policy decides when a list is
+        # re-gathered down to exactly the active set; until then dead
+        # candidates ride along and are skipped in-kernel (their id + marker
+        # reads are the accounted dead-lane traffic the adaptive policy
+        # trades off).
+        cand = {s: [ids[lo:hi], ids[lo:hi]] for s, _, lo, hi in placement.shards}
+        # one remote far tuple: the q pair plus every payload field pair
+        tuple_bytes = 2 * q.dtype.itemsize + sum(
+            2 * payload[name].dtype.itemsize for name in names
+        )
 
         for step in range(n_steps):
             # Host-side convergence check (a device-side reduction + copy of
             # one word in CUDA terms): lanes holding markers never change.
-            alive = [q[cand[0], 0] >= 0, q[cand[1], 1] >= 0]
-            idx0 = cand[0][alive[0]]
-            idx1 = cand[1][alive[1]]
-            n_active = int(idx0.size + idx1.size)
-            if n_active == 0:
+            work = []
+            for s, dev, lo, hi in placement.shards:
+                c0, c1 = cand[s]
+                alive = (q[c0, 0] >= 0, q[c1, 1] >= 0)
+                idx = (c0[alive[0]], c1[alive[1]])
+                n_active = int(idx[0].size + idx[1].size)
+                if n_active:  # a converged shard stops launching
+                    work.append((s, dev, lo, hi, alive, idx, n_active))
+            if not work:
                 break  # every lane is a path end — the scan has converged
-            n_dead = int(cand[0].size + cand[1].size) - n_active
-            decision = None
-            if n_dead:
-                decision = self.policy.decide(
-                    FrontierState(
-                        live=n_active,
-                        dead=n_dead,
-                        gather_element_bytes=CAND_GATHER_BYTES,
-                        dead_element_bytes=CAND_DEAD_BYTES,
-                        rounds_remaining=n_steps - step,
+
+            with ExitStack() as stack:
+                launched = []
+                for s, dev, lo, hi, alive, idx, n_active in work:
+                    c0, c1 = cand[s]
+                    n_dead = int(c0.size + c1.size) - n_active
+                    decision = None
+                    if n_dead:
+                        decision = self.policy.decide(
+                            FrontierState(
+                                live=n_active,
+                                dead=n_dead,
+                                gather_element_bytes=CAND_GATHER_BYTES,
+                                dead_element_bytes=CAND_DEAD_BYTES,
+                                rounds_remaining=n_steps - step,
+                            )
+                        )
+                        decisions.append(decision)
+                        if decision.compact:
+                            cand[s] = list(idx)
+                    active_history.append(n_active)
+                    kl = stack.enter_context(
+                        dev.launch(
+                            f"bidirectional-scan[{label}|step={step}]",
+                            active_lanes=n_active,
+                            total_lanes=2 * (hi - lo),
+                        )
                     )
-                )
-                decisions.append(decision)
-                if decision.compact:
-                    dead_reads = ()
-                    cand = [idx0, idx1]
-                else:
-                    dead_reads = (
-                        cand[0][~alive[0]],
-                        q[cand[0][~alive[0]], 0],
-                        cand[1][~alive[1]],
-                        q[cand[1][~alive[1]], 1],
-                    )
-            active_history.append(n_active)
-            with self.device.launch(
-                f"bidirectional-scan[{label}|step={step}]",
-                active_lanes=n_active,
-                total_lanes=total_lanes,
-            ) as kl:
-                if decision is not None:
-                    record_decision(decision, engine="scan", launch=kl)
-                    if not decision.compact:
-                        # dead candidates are streamed and skipped in-kernel
-                        kl.reads(*dead_reads)
-                # Gather phase: snapshot the far tuples of every active lane
-                # (fancy indexing copies), completing all reads of the step
-                # before any write — the role of the ping-pong back buffer.
+                    if decision is not None:
+                        record_decision(decision, engine="scan", launch=kl)
+                        if not decision.compact:
+                            # dead candidates are streamed and skipped in-kernel
+                            kl.reads(
+                                c0[~alive[0]],
+                                q[c0[~alive[0]], 0],
+                                c1[~alive[1]],
+                                q[c1[~alive[1]], 1],
+                            )
+                    launched.append((s, kl, idx))
+                    launches += 1
+
+                # Gather phase, across all shards: snapshot the far tuples of
+                # every active lane (fancy indexing copies), completing all
+                # reads of the step before any write — the role of the
+                # ping-pong back buffer.
                 gathered = []
-                for lane, idx in ((0, idx0), (1, idx1)):
-                    if idx.size == 0:
-                        gathered.append(None)
-                        continue
-                    far = q[idx, lane]
-                    far_q = q[far]  # (m, 2) — the neighbour's snapshot
-                    far_p = {name: payload[name][far] for name in names}
-                    kl.reads(idx, far, far_q, *far_p.values())
-                    gathered.append((idx, far_q, far_p))
-                # Scatter phase: lane 0 writes only column 0 and lane 1 only
-                # column 1, so the in-place updates cannot alias a gather.
-                for lane, pack in ((0, gathered[0]), (1, gathered[1])):
-                    if pack is None:
-                        continue
-                    idx, far_q, far_p = pack
-                    # Alg. 3 lines 15-20: both tuple entries of the far
-                    # neighbour are inspected; the one that is not this very
-                    # vertex extends the segment (sequential j = 0, 1
-                    # semantics: a second match overwrites the first).
-                    for j in (0, 1):
-                        extend = far_q[:, j] != ids[idx]
-                        sub = idx[extend]
-                        if sub.size == 0:
+                for s, kl, idx in launched:
+                    packs = []
+                    for lane in (0, 1):
+                        sel = idx[lane]
+                        if sel.size == 0:
+                            packs.append(None)
                             continue
-                        current = {name: payload[name][sub, lane] for name in names}
-                        kl.reads(*current.values())
-                        contribution = {name: far_p[name][extend, j] for name in far_p}
-                        merged = operator.combine(current, contribution)
-                        for name in names:
-                            payload[name][sub, lane] = merged[name]
-                            kl.writes(merged[name])
-                        new_q = far_q[extend, j]
-                        q[sub, lane] = new_q
-                        kl.writes(new_q)
-            launches += 1
+                        far = q[sel, lane]
+                        far_q = q[far]  # (m, 2) — the neighbour's snapshot
+                        far_p = {name: payload[name][far] for name in names}
+                        kl.reads(sel, far, far_q, *far_p.values())
+                        placement.halo(s, far, tuple_bytes, "halo.scan")
+                        packs.append((sel, far_q, far_p))
+                    gathered.append((kl, packs))
+
+                # Scatter phase: each shard writes only its own rows, lane 0
+                # only column 0 and lane 1 only column 1, so the in-place
+                # updates cannot alias a gather.
+                for kl, packs in gathered:
+                    for lane, pack in enumerate(packs):
+                        if pack is None:
+                            continue
+                        sel, far_q, far_p = pack
+                        # Alg. 3 lines 15-20: both tuple entries of the far
+                        # neighbour are inspected; the one that is not this
+                        # very vertex extends the segment (sequential
+                        # j = 0, 1 semantics: a second match overwrites the
+                        # first).
+                        for j in (0, 1):
+                            extend = far_q[:, j] != ids[sel]
+                            sub = sel[extend]
+                            if sub.size == 0:
+                                continue
+                            current = {name: payload[name][sub, lane] for name in names}
+                            kl.reads(*current.values())
+                            contribution = {name: far_p[name][extend, j] for name in far_p}
+                            merged = operator.combine(current, contribution)
+                            for name in names:
+                                payload[name][sub, lane] = merged[name]
+                                kl.writes(merged[name])
+                            new_q = far_q[extend, j]
+                            q[sub, lane] = new_q
+                            kl.writes(new_q)
 
         return launches, active_history, decisions

@@ -11,8 +11,8 @@ the hardware:
   bytes read/written by the launch.
 * :class:`~repro.device.device.DeviceGroup` — N devices plus an
   :class:`~repro.device.interconnect.Interconnect` whose byte meter is
-  separate from device traffic; the substrate of the sharded pipeline
-  (:mod:`repro.core.sharded`).
+  separate from device traffic.  Passed as ``device=``, it shards every
+  engine over a 1-D vertex partition (:mod:`repro.core.partition`).
 * :class:`~repro.device.buffers.PingPong` — double buffering, exactly the
   input/output buffer pairs of Section 4.2 of the paper.
 * :class:`~repro.device.costmodel.CostModel` — a roofline model over the

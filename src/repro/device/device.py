@@ -296,9 +296,10 @@ class Device:
 class DeviceGroup:
     """N simulated devices plus the interconnect between them.
 
-    The sharded pipeline (:mod:`repro.core.sharded`) runs each vertex-range
-    shard on one member device; traffic between shards is metered on
-    :attr:`interconnect` instead.  Members are named ``gpu0 … gpuN-1`` so
+    Passed to an engine as ``device=``, the group runs each vertex-range
+    shard of a :class:`~repro.core.partition.VertexPartition` on one member
+    device; traffic between shards is metered on :attr:`interconnect`
+    instead.  Members are named ``gpu0 … gpuN-1`` so
     their launches stay distinguishable in traces
     (:func:`repro.device.trace.summarize` aggregates per device *and* as a
     group total).

@@ -1,30 +1,35 @@
-"""VertexPartition unit tests and sharded-pipeline edge cases.
+"""VertexPartition unit tests, sharded-pipeline edge cases, device resolution.
 
-The second half drives the sharded engine through the degenerate layouts a
-1-D partition produces — more shards than vertices, empty shards,
-single-vertex shards, zero-edge graphs — and pins the halo contract: when no
-edge and no band position crosses a shard cut, **zero** bytes cross the
-interconnect; when a path spans shards, the halo is non-empty and the result
-is still bit-identical to the solo run.
+The middle part drives the engines over a device group through the
+degenerate layouts a 1-D partition produces — more shards than vertices,
+empty shards, single-vertex shards, zero-edge graphs — and pins the halo
+contract: when no edge and no band position crosses a shard cut, **zero**
+bytes cross the interconnect; when a path spans shards, the halo is
+non-empty and the result is still bit-identical to the solo run.  A
+one-device group meters exactly like a solo device, and runs that record no
+interconnect do no halo work at all.
+
+The last part pins how ``device=``/``devices=``/``$REPRO_DEVICES`` resolve,
+identically in ``extract_linear_forest`` and ``apply_edits``.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    VertexPartition,
-    extract_linear_forest,
-    extract_linear_forest_sharded,
-)
+from repro.core import VertexPartition, extract_linear_forest, resolve_devices
+from repro.core.partition import ENV_DEVICES
+from repro.delta import EditBatch, apply_edits
 from repro.device import Device, DeviceGroup
-from repro.errors import ShapeError
+from repro.errors import ConfigError, ShapeError
+from repro.graphs import aniso2, build_matrix, small_suite
+from repro.obs import MetricsRegistry, use_metrics
 from repro.sparse import from_edges
 
 
 def assert_bit_identical(a, group, **kwargs):
     """Run solo + sharded on ``a`` and compare the result arrays."""
     solo = extract_linear_forest(a, device=Device(record=False), **kwargs)
-    sharded = extract_linear_forest_sharded(a, group=group, **kwargs)
+    sharded = extract_linear_forest(a, device=group, **kwargs)
     assert np.array_equal(sharded.forest.neighbors, solo.forest.neighbors)
     assert np.array_equal(sharded.paths.path_id, solo.paths.path_id)
     assert np.array_equal(sharded.paths.position, solo.paths.position)
@@ -179,8 +184,95 @@ def test_explicit_partition_is_honoured():
     partition = VertexPartition(bounds=np.array([0, 2, 2, 12]))
     group = DeviceGroup(3)
     solo = extract_linear_forest(a, device=Device(record=False))
-    sharded = extract_linear_forest_sharded(a, group=group, partition=partition)
+    sharded = extract_linear_forest(a, device=group, partition=partition)
     assert np.array_equal(sharded.forest.neighbors, solo.forest.neighbors)
     assert np.array_equal(sharded.perm, solo.perm)
     # the empty middle shard never launches
     assert group.per_device_launches()["gpu1"] == 0
+
+
+def _records(device):
+    return [
+        (k.name, k.bytes_read, k.bytes_written, k.active_lanes, k.total_lanes, k.notes)
+        for k in device.kernels
+    ]
+
+
+@pytest.mark.parametrize("name", small_suite())
+def test_one_device_group_meters_like_a_solo_device(name):
+    a = build_matrix(name, scale=0.25)
+    solo = Device()
+    extract_linear_forest(a, device=solo)
+    group = DeviceGroup(1)
+    extract_linear_forest(a, device=group)
+    assert _records(group[0]) == _records(solo)
+    assert group.interconnect.transfer_count == 0
+
+
+def test_solo_and_unrecorded_runs_do_no_halo_work(monkeypatch):
+    a = line_graph(24, seed=7)  # the path crosses every shard cut
+
+    def refuse(self, ids):
+        raise AssertionError("halo work on a run whose interconnect records nothing")
+
+    monkeypatch.setattr(VertexPartition, "owner_of", refuse)
+    extract_linear_forest(a, device=Device())
+    extract_linear_forest(a, device=DeviceGroup(3, record=False))
+    # a recording group meters its halo through the same hook
+    with pytest.raises(AssertionError, match="halo work"):
+        extract_linear_forest(a, device=DeviceGroup(3))
+
+
+# -- device resolution -------------------------------------------------------
+
+
+def _devices_used(run):
+    """The device count a run resolved to, read off its ``shard.devices``
+    gauge (``None`` for a one-device run)."""
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        run()
+    gauge = registry.gauges.get("shard.devices")
+    return None if gauge is None else gauge.value
+
+
+def test_explicit_devices_beat_the_environment(monkeypatch):
+    a = line_graph(12, seed=3)
+    monkeypatch.setenv(ENV_DEVICES, "4")
+    assert resolve_devices() == 4
+    assert resolve_devices(2) == 2
+    assert _devices_used(lambda: extract_linear_forest(a)) == 4
+    assert _devices_used(lambda: extract_linear_forest(a, devices=2)) == 2
+    # an explicit single device pins the one-device path
+    assert _devices_used(lambda: extract_linear_forest(a, device=Device())) is None
+
+
+@pytest.mark.parametrize("raw", ["0", "four"])
+def test_bad_device_counts_in_the_environment_name_the_variable(monkeypatch, raw):
+    monkeypatch.setenv(ENV_DEVICES, raw)
+    with pytest.raises(ConfigError, match=ENV_DEVICES):
+        resolve_devices()
+    with pytest.raises(ConfigError, match=ENV_DEVICES):
+        extract_linear_forest(line_graph(6))
+
+
+def test_a_device_with_devices_one_runs_on_that_device_in_both_entry_points():
+    a = aniso2(8)
+    solo = extract_linear_forest(a, device=Device(record=False))
+    dev = Device()
+    result = extract_linear_forest(a, device=dev, devices=1)
+    assert dev.launch_count > 0
+    assert np.array_equal(result.perm, solo.perm)
+    dev = Device()
+    updated = apply_edits(solo, EditBatch.single(0, 9, 3.0), a, device=dev, devices=1)
+    assert dev.launch_count > 0
+    assert updated.stats.fallback != "sharded"
+
+
+def test_a_device_with_several_devices_is_a_config_error_in_both_entry_points():
+    a = aniso2(8)
+    solo = extract_linear_forest(a, device=Device(record=False))
+    with pytest.raises(ConfigError, match="DeviceGroup"):
+        extract_linear_forest(a, device=Device(), devices=2)
+    with pytest.raises(ConfigError, match="DeviceGroup"):
+        apply_edits(solo, EditBatch.single(0, 9, 3.0), a, device=Device(), devices=2)

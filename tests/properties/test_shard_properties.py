@@ -1,7 +1,7 @@
 """Property tests: sharding is invisible in the results.
 
-The sharded engine (:mod:`repro.core.sharded`) splits the vertex set over a
-:class:`~repro.device.device.DeviceGroup` and exchanges halos over the
+A :class:`~repro.device.device.DeviceGroup` passed as ``device=`` splits the
+vertex set over the group's devices and exchanges halos over the
 interconnect.  The contract held here: for **every** device count, dtype and
 compaction policy the sharded pipeline is bit-identical to the single-device
 pipeline — a one-device group included, which must in turn match a solo run
@@ -14,11 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    ParallelFactorConfig,
-    extract_linear_forest,
-    extract_linear_forest_sharded,
-)
+from repro.core import ParallelFactorConfig, extract_linear_forest
 from repro.device import Device, DeviceGroup
 from repro.graphs import aniso2, random_weighted_graph
 
@@ -71,8 +67,8 @@ def test_sharded_matrix_is_bit_identical_to_solo(devices, dtype, policy):
     """The full ISSUE matrix: devices x dtypes x compaction policies."""
     a = random_graph(1234).astype(dtype)
     solo = extract_linear_forest(a, device=Device(record=False), compaction=policy)
-    sharded = extract_linear_forest_sharded(
-        a, group=DeviceGroup(devices, record=False), compaction=policy
+    sharded = extract_linear_forest(
+        a, device=DeviceGroup(devices, record=False), compaction=policy
     )
     assert_result_equal(sharded, solo, f"devices={devices}")
     assert sharded.tridiagonal.d.dtype == np.dtype(dtype)
@@ -83,7 +79,7 @@ def test_sharded_matrix_is_bit_identical_to_solo(devices, dtype, policy):
 def test_random_graphs_shard_bit_identically(seed, devices):
     a = random_graph(seed)
     solo = extract_linear_forest(a, device=Device(record=False))
-    sharded = extract_linear_forest_sharded(a, devices=devices)
+    sharded = extract_linear_forest(a, devices=devices)
     assert_result_equal(sharded, solo, f"seed={seed} devices={devices}")
 
 
@@ -94,7 +90,7 @@ def test_one_device_group_is_bit_identical_to_solo(seed):
     a = random_graph(seed)
     solo = extract_linear_forest(a, device=Device(record=False))
     group = DeviceGroup(1)
-    sharded = extract_linear_forest_sharded(a, group=group)
+    sharded = extract_linear_forest(a, device=group)
     assert_result_equal(sharded, solo, f"seed={seed}")
     # a single shard owns everything: nothing can cross the interconnect
     assert group.interconnect.transfer_count == 0
@@ -106,7 +102,7 @@ def test_one_device_group_is_bit_identical_to_solo(seed):
 def test_unmerged_scan_shards_bit_identically(seed, devices):
     a = random_graph(seed)
     solo = extract_linear_forest(a, device=Device(record=False), merged_scan=False)
-    sharded = extract_linear_forest_sharded(
+    sharded = extract_linear_forest(
         a, devices=devices, merged_scan=False
     )
     assert_result_equal(sharded, solo, f"seed={seed}")
@@ -117,7 +113,7 @@ def test_non_default_config_shards_bit_identically():
     for devices in DEVICE_COUNTS:
         a = aniso2(7)
         solo = extract_linear_forest(a, config, device=Device(record=False))
-        sharded = extract_linear_forest_sharded(a, config, devices=devices)
+        sharded = extract_linear_forest(a, config, devices=devices)
         assert_result_equal(sharded, solo, f"devices={devices}")
 
 
@@ -164,7 +160,7 @@ def test_batch_members_under_sharding_match_solo_members():
 @pytest.mark.parametrize("devices", DEVICE_COUNTS)
 def test_float32_dtype_survives_sharding(devices):
     a = aniso2(6).astype(np.float32)
-    sharded = extract_linear_forest_sharded(a, devices=devices)
+    sharded = extract_linear_forest(a, devices=devices)
     assert sharded.tridiagonal.d.dtype == np.float32
     solo = extract_linear_forest(a, device=Device(record=False))
     assert_result_equal(sharded, solo, f"devices={devices}")

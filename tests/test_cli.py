@@ -152,6 +152,27 @@ def test_extract_trace_jsonl_extension(mtx_path, tmp_path, capsys):
     assert all(r["parent_id"] in ids for r in rows[1:])
 
 
+def test_extract_devices_flag_reports_the_interconnect(
+    mtx_path, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.delenv("REPRO_DEVICES", raising=False)
+
+    def coverage_line(out):
+        return next(line for line in out.splitlines() if "linear-forest coverage" in line)
+
+    rc = main([
+        "extract", mtx_path, "--devices", "3",
+        "--metrics-out", str(tmp_path / "r.json"),
+    ])
+    assert rc == 0
+    sharded = capsys.readouterr().out
+    assert "devices: 3; interconnect:" in sharded
+    assert main(["extract", mtx_path]) == 0
+    solo = capsys.readouterr().out
+    assert "devices:" not in solo
+    assert coverage_line(sharded) == coverage_line(solo)
+
+
 def test_factor_metrics_out(mtx_path, tmp_path, capsys):
     import json
 
