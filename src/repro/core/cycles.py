@@ -118,24 +118,23 @@ def break_cycles(
                 removed_v=np.empty(0, dtype=INDEX_DTYPE),
                 cycle_mask=cycle_mask,
             )
-        w = result.payload["w"]
-        u = result.payload["u"]
-        v = result.payload["v"]
+        # flat lane-major views: entry (x, lane) sits at 2x + lane
+        w, u, v = (result.payload[name].reshape(-1) for name in ("w", "u", "v"))
         # per cycle vertex: lexicographic min over the two lanes
-        lane1_smaller = (w[:, 1] < w[:, 0]) | (
-            (w[:, 1] == w[:, 0]) & ((u[:, 1] < u[:, 0]) | ((u[:, 1] == u[:, 0]) & (v[:, 1] < v[:, 0])))
+        lane0 = 2 * np.flatnonzero(cycle_mask)
+        lane1 = lane0 + 1
+        lane1_smaller = (w[lane1] < w[lane0]) | (
+            (w[lane1] == w[lane0])
+            & ((u[lane1] < u[lane0]) | ((u[lane1] == u[lane0]) & (v[lane1] < v[lane0])))
         )
-        lane = lane1_smaller.astype(INDEX_DTYPE)
-        rows = np.arange(factor.n_vertices, dtype=INDEX_DTYPE)
-        min_u = u[rows, lane]
-        min_v = v[rows, lane]
-        cyc = np.flatnonzero(cycle_mask)
-        if bool(np.isinf(w[cyc, lane[cyc]]).any()):
+        pick = lane0 + lane1_smaller
+        if bool(np.isinf(w[pick]).any()):
             raise ScanError("cycle vertex without a resolved weakest edge")
-        pairs = np.stack([min_u[cyc], min_v[cyc]], axis=1)
-        pairs = np.unique(pairs, axis=0)
-        removed_u = pairs[:, 0]
-        removed_v = pairs[:, 1]
+        # one key per edge, min endpoint major: its 1-D unique sorts the
+        # edges exactly like a row-wise unique of the (u, v) pairs
+        n_vertices = factor.n_vertices
+        keys = np.unique(u[pick] * n_vertices + v[pick])
+        removed_u, removed_v = np.divmod(keys, n_vertices)
         forest = factor.remove_edges(removed_u, removed_v)
         if span is not None:
             span.attributes["n_cycles"] = int(removed_u.size)

@@ -62,7 +62,7 @@ from functools import cached_property
 import numpy as np
 
 from .._validation import INDEX_DTYPE, require
-from ..device.device import Device, DeviceGroup, KernelLaunch
+from ..device.device import Device, DeviceGroup
 from ..device.profiler import TimingBreakdown
 from ..errors import ConfigError, ShapeError
 from ..obs import Tracer, current_metrics, trace_span
@@ -579,13 +579,6 @@ class DeltaResult:
         return self.result.coverage
 
 
-def _meter(kl: KernelLaunch, *, read: int = 0, written: int = 0) -> None:
-    """Add raw byte counts to a launch handle (fused-kernel accounting)."""
-    if kl.enabled:
-        kl.bytes_read += int(read)
-        kl.bytes_written += int(written)
-
-
 def apply_edits(
     previous: LinearForestResult,
     edits: EditBatch,
@@ -697,8 +690,7 @@ def apply_edits(
                 core = np.flatnonzero(dist <= radius)
                 # the BFS streams the region's adjacency rows plus the
                 # distance updates
-                _meter(
-                    kl,
+                kl.meter(
                     read=int(graph_new.row_lengths[members].sum()) * 8
                     + members.size * 8,
                     written=members.size * 8,
@@ -740,8 +732,7 @@ def apply_edits(
                         axis=1
                     )
                 ]
-                _meter(
-                    kl,
+                kl.meter(
                     read=sum(k.bytes_read for k in sub_device.kernels)
                     + core.size * 16,
                     written=sum(k.bytes_written for k in sub_device.kernels)
@@ -770,7 +761,7 @@ def apply_edits(
                 )
                 # the walk streams each member's partner pair and writes its
                 # (path id, position, cycle flag) triple
-                _meter(kl, read=n_rescanned * 16, written=n_rescanned * 17)
+                kl.meter(read=n_rescanned * 16, written=n_rescanned * 17)
                 kl.telemetry(active_lanes=2 * n_rescanned, total_lanes=2 * a.n_rows)
             forest = raw_factor.remove_edges(removed_u, removed_v)
             paths = PathInfo(path_id=path_id, position=position)
@@ -782,8 +773,7 @@ def apply_edits(
             ) as kl:
                 tridiagonal = _splice_bands(a_new, previous, paths, perm, region_mask)
                 item = tridiagonal.d.dtype.itemsize
-                _meter(
-                    kl,
+                kl.meter(
                     read=3 * (a.n_rows - n_rescanned) * item  # old band values
                     + n_rescanned * (3 * item + 16),  # fresh gathers
                     written=3 * a.n_rows * item,

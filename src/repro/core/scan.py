@@ -26,8 +26,8 @@ full ⌈log₂N⌉ launches):
   the cycle-detection semantics of the paper are untouched.
 * **Frontier compaction** — clamped lanes are dead weight: their tuples
   never change again.  Instead of copying every ping-pong buffer in full
-  each step, the engine keeps one live buffer per array, gathers the far
-  tuples of the *active* (vertex, lane) pairs into compacted snapshots, and
+  each step, the engine keeps one live buffer per array, gathers what the
+  *active* (vertex, lane) entries read into compacted snapshots, and
   scatters only the merged results back.  The gathered snapshot plays the
   role of the paper's input ("back") buffer: all reads of a step complete
   before any write, so the race the ping-pong buffers guard against cannot
@@ -39,14 +39,26 @@ full ⌈log₂N⌉ launches):
   list every step.  Results are bit-identical either way — dead candidates
   are filtered out before the far-tuple gathers, so the launch computes on
   exactly the active set regardless of policy.
+* **Single-gather step** — the step addresses the ``(N, 2)`` state through
+  flat lane-major views, entry ``(v, lane)`` at ``2v + lane``.  Algorithm 3
+  lines 15–20 inspect both entries of the far pair in order ``j = 0, 1``;
+  every entry that is not ``v`` extends the segment, the second
+  overwriting the first.  So each active entry gathers its far pointer and
+  the far ``q`` pair, picks entry 1 if it is not ``v``, else entry 0, and
+  gathers only that entry of each payload field; ⊕ runs once per launch.
+  On a valid factor at most one entry extends.  Both extend only on an
+  invalid one, e.g. asymmetric, whose rows gather entry 0 as well and apply
+  the ``j = 0`` combine first.  The meter still charges the full far pair of
+  ``q`` and of every payload field, and the ``j = 0`` traffic of such rows,
+  so each kernel record is that of the two-entry formulation.
 * **Telemetry** — every launch reports its frontier size to the
   :class:`~repro.device.device.Device` (``active_lanes``/``total_lanes``),
   so ``render_trace`` shows the convergence curve of a run.
 
 Results are bit-identical to the exhaustive engine (kept as
 :class:`~repro.core.ablations.ReferenceScan`): extra launches past
-convergence are no-ops, and the gather/scatter step performs exactly the
-reads and writes of Algorithm 3 lines 15–20 in the same order.
+convergence are no-ops, and the gather/scatter step applies exactly the
+combines of Algorithm 3 lines 15–20, in the same order.
 
 The payload and its ⊕ are pluggable (the scan is "parameterized on the
 operation" like ``thrust::inclusive_scan``): :class:`AddOperator` computes
@@ -64,7 +76,7 @@ from typing import Mapping, Protocol, Sequence
 import numpy as np
 
 from .._validation import INDEX_DTYPE, VALUE_DTYPE
-from ..device.device import Device, DeviceGroup, default_device
+from ..device.device import Device, DeviceGroup, KernelLaunch, default_device
 from ..errors import ScanError
 from ..obs import trace_span
 from ..sparse.csr import CSRMatrix
@@ -466,8 +478,9 @@ class BidirectionalScan:
         # snapshot everything a launch reads before it writes, which is the
         # compacted equivalent of the paper's ping-pong back buffer.
         q = self._q0.copy()
+        # C order: the step loop updates flat views of these copies
         payload = {
-            name: np.array(arr, copy=True)
+            name: np.array(arr, copy=True, order="C")
             for name, arr in operator.init(self.factor, graph).items()
         }
         names = tuple(payload)
@@ -507,20 +520,29 @@ class BidirectionalScan:
         n_steps: int,
         label: str,
     ) -> tuple[int, list[int], list[CompactionDecision]]:
-        """The butterfly step loop; mutates ``q``/``payload`` in place."""
-        ids = self._ids
+        """The butterfly step loop; mutates ``q``/``payload`` in place.
+
+        The loop works on flat lane-major views of the C-ordered ``(N, 2)``
+        state: entry ``(v, lane)`` sits at ``2v + lane``, so the far
+        vertex ``f``'s pair is ``2f``/``2f + 1``.
+        """
         placement = self._placement
+        qf = q.reshape(-1)
+        pf = {name: payload[name].reshape(-1) for name in names}
         launches = 0
         active_history: list[int] = []
         decisions: list[CompactionDecision] = []
-        # Per-shard, per-lane candidate lists: supersets of the active
-        # (unclamped) lanes.  The compaction policy decides when a list is
+        # Per-shard candidate lists of flat entries: supersets of the active
+        # (unclamped) entries.  The compaction policy decides when a list is
         # re-gathered down to exactly the active set; until then dead
         # candidates ride along and are skipped in-kernel (their id + marker
         # reads are the accounted dead-lane traffic the adaptive policy
         # trades off).
-        cand = {s: [ids[lo:hi], ids[lo:hi]] for s, _, lo, hi in placement.shards}
-        # one remote far tuple: the q pair plus every payload field pair
+        cand = {
+            s: np.arange(2 * lo, 2 * hi, dtype=INDEX_DTYPE)
+            for s, _, lo, hi in placement.shards
+        }
+        # one far tuple: the q pair plus every payload field pair
         tuple_bytes = 2 * q.dtype.itemsize + sum(
             2 * payload[name].dtype.itemsize for name in names
         )
@@ -530,20 +552,17 @@ class BidirectionalScan:
             # one word in CUDA terms): lanes holding markers never change.
             work = []
             for s, dev, lo, hi in placement.shards:
-                c0, c1 = cand[s]
-                alive = (q[c0, 0] >= 0, q[c1, 1] >= 0)
-                idx = (c0[alive[0]], c1[alive[1]])
-                n_active = int(idx[0].size + idx[1].size)
-                if n_active:  # a converged shard stops launching
-                    work.append((s, dev, lo, hi, alive, idx, n_active))
+                idx = cand[s][qf[cand[s]] >= 0]
+                if idx.size:  # a converged shard stops launching
+                    work.append((s, dev, lo, hi, idx))
             if not work:
                 break  # every lane is a path end — the scan has converged
 
             with ExitStack() as stack:
                 launched = []
-                for s, dev, lo, hi, alive, idx, n_active in work:
-                    c0, c1 = cand[s]
-                    n_dead = int(c0.size + c1.size) - n_active
+                for s, dev, lo, hi, idx in work:
+                    n_active = int(idx.size)
+                    n_dead = int(cand[s].size) - n_active
                     decision = None
                     if n_dead:
                         decision = self.policy.decide(
@@ -557,7 +576,7 @@ class BidirectionalScan:
                         )
                         decisions.append(decision)
                         if decision.compact:
-                            cand[s] = list(idx)
+                            cand[s] = idx
                     active_history.append(n_active)
                     kl = stack.enter_context(
                         dev.launch(
@@ -570,62 +589,77 @@ class BidirectionalScan:
                         record_decision(decision, engine="scan", launch=kl)
                         if not decision.compact:
                             # dead candidates are streamed and skipped in-kernel
-                            kl.reads(
-                                c0[~alive[0]],
-                                q[c0[~alive[0]], 0],
-                                c1[~alive[1]],
-                                q[c1[~alive[1]], 1],
-                            )
+                            kl.meter(read=n_dead * CAND_DEAD_BYTES)
                     launched.append((s, kl, idx))
                     launches += 1
 
-                # Gather phase, across all shards: snapshot the far tuples of
-                # every active lane (fancy indexing copies), completing all
-                # reads of the step before any write — the role of the
-                # ping-pong back buffer.
+                # Gather phase, across all shards, completing every read of
+                # the step before any write — the role of the ping-pong back
+                # buffer.  The sequential j-loop leaves each lane on entry 1
+                # of the far pair when it is not ``v``, else on entry 0, so
+                # only that entry's payload is gathered; rows where both
+                # entries extend (invalid factors only) gather entry 0 as
+                # well, for the j = 0 combine.
                 gathered = []
                 for s, kl, idx in launched:
-                    packs = []
+                    v = idx >> 1
+                    far = qf[idx]
+                    base = 2 * far
+                    far0 = qf[base]
+                    far1 = qf[base + 1]
+                    ext0 = far0 != v
+                    ext1 = far1 != v
+                    new_q = np.where(ext1, far1, far0)
+                    src = base + ext1
+                    fire = ext0 | ext1
+                    both = ext0 & ext1
+                    sub = idx
+                    if not fire.all():
+                        sub, src, new_q = idx[fire], src[fire], new_q[fire]
+                    first = None
+                    if both.any():
+                        first = (idx[both], {name: pf[name][base[both]] for name in names})
+                    far_p = {name: pf[name][src] for name in names}
+                    # the meter charges the whole far pair of q and of every
+                    # payload field, as a kernel that loads both entries would
+                    kl.reads(idx, far)
+                    kl.meter(read=idx.size * tuple_bytes)
+                    # one halo exchange per lane, deduplicating its own ids
                     for lane in (0, 1):
-                        sel = idx[lane]
-                        if sel.size == 0:
-                            packs.append(None)
-                            continue
-                        far = q[sel, lane]
-                        far_q = q[far]  # (m, 2) — the neighbour's snapshot
-                        far_p = {name: payload[name][far] for name in names}
-                        kl.reads(sel, far, far_q, *far_p.values())
-                        placement.halo(s, far, tuple_bytes, "halo.scan")
-                        packs.append((sel, far_q, far_p))
-                    gathered.append((kl, packs))
+                        placement.halo(
+                            s, lambda lane=lane: far[(idx & 1) == lane],
+                            tuple_bytes, "halo.scan",
+                        )
+                    gathered.append((kl, first, sub, far_p, new_q))
 
-                # Scatter phase: each shard writes only its own rows, lane 0
-                # only column 0 and lane 1 only column 1, so the in-place
-                # updates cannot alias a gather.
-                for kl, packs in gathered:
-                    for lane, pack in enumerate(packs):
-                        if pack is None:
-                            continue
-                        sel, far_q, far_p = pack
-                        # Alg. 3 lines 15-20: both tuple entries of the far
-                        # neighbour are inspected; the one that is not this
-                        # very vertex extends the segment (sequential
-                        # j = 0, 1 semantics: a second match overwrites the
-                        # first).
-                        for j in (0, 1):
-                            extend = far_q[:, j] != ids[sel]
-                            sub = sel[extend]
-                            if sub.size == 0:
-                                continue
-                            current = {name: payload[name][sub, lane] for name in names}
-                            kl.reads(*current.values())
-                            contribution = {name: far_p[name][extend, j] for name in far_p}
-                            merged = operator.combine(current, contribution)
-                            for name in names:
-                                payload[name][sub, lane] = merged[name]
-                                kl.writes(merged[name])
-                            new_q = far_q[extend, j]
-                            q[sub, lane] = new_q
-                            kl.writes(new_q)
+                # Scatter phase: each entry writes only itself, and every
+                # shard only its own rows, so no write aliases a gather.
+                for kl, first, sub, far_p, new_q in gathered:
+                    if first is not None:
+                        rows, far_p0 = first
+                        self._combine(kl, operator, pf, rows, far_p0)
+                        # the j = 0 pointer write, overwritten by j = 1 below
+                        kl.meter(written=rows.size * q.dtype.itemsize)
+                    if sub.size:
+                        self._combine(kl, operator, pf, sub, far_p)
+                        qf[sub] = new_q
+                        kl.writes(new_q)
 
         return launches, active_history, decisions
+
+    @staticmethod
+    def _combine(
+        kl: KernelLaunch,
+        operator: ScanOperator,
+        pf: Payload,
+        rows: np.ndarray,
+        far: Payload,
+    ) -> None:
+        """Merge the gathered far payload into the flat entries ``rows`` of
+        the payload views ``pf``."""
+        current = {name: arr[rows] for name, arr in pf.items()}
+        kl.reads(*current.values())
+        merged = operator.combine(current, far)
+        for name, arr in pf.items():
+            arr[rows] = merged[name]
+            kl.writes(merged[name])

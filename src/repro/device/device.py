@@ -121,6 +121,13 @@ class KernelLaunch:
         if self.enabled:
             self.bytes_written += _nbytes(arrays)
 
+    def meter(self, *, read: int = 0, written: int = 0) -> None:
+        """Register raw byte counts for traffic the body never materializes
+        as arrays (e.g. a fused kernel's, or entries charged per count)."""
+        if self.enabled:
+            self.bytes_read += int(read)
+            self.bytes_written += int(written)
+
     def telemetry(
         self, *, active_lanes: int | None = None, total_lanes: int | None = None
     ) -> None:

@@ -106,3 +106,35 @@ def test_mixed_paths_and_cycles_ground_truth(rng):
     for path in gt.paths:
         for a, b in zip(path, path[1:]):
             assert result.forest.contains_edges(np.array([a]), np.array([b]))[0]
+
+
+def test_removed_edges_match_rowwise_unique(rng):
+    """The packed-key unique of ``break_cycles`` yields exactly the rows, the
+    order and the dtype of a row-wise unique of the per-vertex (u, v) pairs,
+    ties included."""
+    from repro.core import BidirectionalScan, MinEdgeOperator
+
+    for trial in range(25):
+        n = int(rng.integers(3, 120))
+        gt = random_02_factor(n, rng, cycle_fraction=float(rng.uniform(0.3, 1.0)))
+        u, v = gt.factor.edges()
+        if u.size == 0:
+            continue
+        # few distinct weights: many cycles resolve their minimum by id
+        g = prepare_graph(from_edges(n, u, v, rng.integers(1, 4, u.size).astype(float)))
+        scan = BidirectionalScan(gt.factor).run(MinEdgeOperator(), g)
+        result = break_cycles(gt.factor, scan_result=scan)
+        w, pu, pv = (scan.payload[k] for k in ("w", "u", "v"))
+        lane = ((w[:, 1] < w[:, 0]) | (
+            (w[:, 1] == w[:, 0])
+            & ((pu[:, 1] < pu[:, 0]) | ((pu[:, 1] == pu[:, 0]) & (pv[:, 1] < pv[:, 0])))
+        )).astype(np.int64)
+        rows = np.arange(n)
+        cyc = np.flatnonzero(scan.cycle_mask)
+        pairs = np.unique(
+            np.stack([pu[rows, lane][cyc], pv[rows, lane][cyc]], axis=1), axis=0
+        )
+        np.testing.assert_array_equal(result.removed_u, pairs[:, 0])
+        np.testing.assert_array_equal(result.removed_v, pairs[:, 1])
+        assert result.removed_u.dtype == result.removed_v.dtype == pairs.dtype
+        assert result.n_cycles == len(gt.cycles)

@@ -4,9 +4,11 @@ The convergence-aware :class:`~repro.core.scan.BidirectionalScan` (early
 exit + frontier compaction) must be *bit-identical* to the exhaustive
 paper formulation, preserved as :class:`~repro.core.ablations.ReferenceScan`.
 These tests pin that down over the oracle topologies — random [0,2]-factors,
-all-singleton, all-one-cycle and the single-N-vertex-path worst case — plus
-the :class:`~repro.core.scan.FusedOperator` API and the scan-result reuse
-wiring of ``break_cycles``/``detect_cycles``/``extract_linear_forest``.
+all-singleton, all-one-cycle and the single-N-vertex-path worst case — and
+over inputs no valid factor produces (arbitrary asymmetric neighbour arrays,
+Fortran-ordered payloads), plus the :class:`~repro.core.scan.FusedOperator`
+API and the scan-result reuse wiring of
+``break_cycles``/``detect_cycles``/``extract_linear_forest``.
 """
 
 import numpy as np
@@ -33,7 +35,7 @@ from repro.core.scan import (
     operator_label,
     scan_steps,
 )
-from repro.device import Device
+from repro.device import Device, DeviceGroup
 from repro.errors import ScanError
 from repro.graphs import build_matrix, random_02_factor
 from repro.sparse import from_edges, prepare_graph
@@ -122,6 +124,84 @@ def test_mid_scan_steps_are_identical(rng):
         new = BidirectionalScan(gt.factor).run(AddOperator(), steps=steps)
         old = ReferenceScan(gt.factor).run(AddOperator(), steps=steps)
         _assert_results_identical(new, old)
+
+
+# ---------------------------------------------------------------------------
+# Algorithm 3's j-loop on inputs the valid-factor sweeps never produce
+# ---------------------------------------------------------------------------
+
+
+def test_asymmetric_factor_combines_both_far_entries():
+    """Vertex 1's pair holds two path-end markers, so both of its entries
+    extend vertex 0's lane and the sequential j-loop combines twice."""
+    factor = Factor(np.array([[1, -1], [-1, -1]]))
+    for engine in (BidirectionalScan, ReferenceScan):
+        assert engine(factor).run(AddOperator()).payload["r"][0, 0] == 3
+    # one launch, one active entry, int64 state, and under eager compaction
+    # no dead candidates; each j-step is metered as it always was.  Reads:
+    # the entry's id and far pointer (16), the far q and r pairs (32), and r
+    # once per j-step (2 * 8).  Writes: r and q once per j-step (2 * 16).
+    dev = Device()
+    BidirectionalScan(factor, device=dev, compaction="eager").run(AddOperator())
+    (record,) = dev.kernels
+    assert (record.bytes_read, record.bytes_written) == (64, 32)
+
+
+@pytest.mark.parametrize("devices", [1, 3])
+def test_equivalence_arbitrary_neighbour_arrays(rng, devices):
+    """``BidirectionalScan`` accepts an unvalidated factor: any ``(N, 2)``
+    neighbour array, asymmetric, with self-loops and repeated entries.
+    Wherever both far entries differ from ``v``, both j-steps combine, in
+    order; the engine must agree with ``ReferenceScan`` on all of it."""
+    operators = (
+        AddOperator(),
+        NullOperator(),
+        MaxVertexOperator(),
+        MinEdgeOperator(),
+        WeightedAddOperator(),
+        FusedOperator((MinEdgeOperator(), AddOperator())),
+    )
+    for trial in range(40):
+        n = int(rng.integers(1, 60))
+        neighbors = rng.integers(-1, n, size=(n, 2))
+        factor = Factor(neighbors)
+        rows = np.repeat(np.arange(n), 2)
+        cols = neighbors.reshape(-1)
+        keep = (cols >= 0) & (cols != rows)
+        graph = prepare_graph(
+            from_edges(n, rows[keep], cols[keep], rng.uniform(0.5, 5.0, int(keep.sum())))
+        )
+        policy = ("eager", "never", "adaptive")[trial % 3]
+        for operator in operators:
+            device = DeviceGroup(devices) if devices > 1 else None
+            new = BidirectionalScan(factor, device=device, compaction=policy).run(
+                operator, graph
+            )
+            old = ReferenceScan(factor).run(operator, graph)
+            _assert_results_identical(new, old)
+
+
+class _FortranAdd(AddOperator):
+    """Position payload handed out in Fortran order."""
+
+    label = "fortran-add"
+
+    def init(self, factor, graph):
+        return {name: np.asfortranarray(arr) for name, arr in super().init(factor, graph).items()}
+
+
+def test_fortran_ordered_payload(rng):
+    """A flat view of a Fortran-ordered copy would be a copy too, and the
+    step loop's writes through it would be lost; the engine copies each
+    payload in C order."""
+    gt = random_02_factor(50, rng, cycle_fraction=0.3)
+    assert not _FortranAdd().init(gt.factor, None)["r"].flags.c_contiguous
+    new = BidirectionalScan(gt.factor).run(_FortranAdd())
+    _assert_results_identical(new, ReferenceScan(gt.factor).run(_FortranAdd()))
+    np.testing.assert_array_equal(
+        new.payload["r"], BidirectionalScan(gt.factor).run(AddOperator()).payload["r"]
+    )
+    assert new.payload["r"].shape == new.q.shape == (50, 2)
 
 
 # ---------------------------------------------------------------------------

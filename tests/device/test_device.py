@@ -96,6 +96,30 @@ def test_launch_handle_deferred_registration():
     assert rec.bytes_written == 64
 
 
+def test_launch_handle_meters_raw_byte_counts():
+    """``meter`` charges counts for buffers the body never materializes, and
+    adds to what ``reads``/``writes`` registered."""
+    dev = Device()
+    with dev.launch("fused") as kl:
+        kl.reads(np.zeros(4, dtype=np.float64))
+        kl.meter(read=100)
+        kl.meter(written=7)
+        kl.meter(read=1, written=2)
+    rec = dev.kernels[0]
+    assert rec.bytes_read == 32 + 100 + 1
+    assert rec.bytes_written == 9
+
+
+def test_launch_handle_meter_is_inert_when_not_recording():
+    """The shared handle of non-recording devices must not accumulate."""
+    for dev in (Device(record=False), default_device()):
+        with dev.launch("fused") as kl:
+            kl.meter(read=100, written=50)
+        assert kl.bytes_read == 0
+        assert kl.bytes_written == 0
+        assert dev.launch_count == 0
+
+
 def test_launch_handle_registration_survives_exception():
     dev = Device()
     with pytest.raises(ValueError):
