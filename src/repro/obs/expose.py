@@ -26,12 +26,11 @@ to the tracer's :data:`~repro.obs.tracer.monotonic_clock`.
 from __future__ import annotations
 
 import json
-import os
 import re
-import tempfile
 import threading
 from pathlib import Path
 
+from .._atomic import atomic_open
 from .tracer import monotonic_clock
 
 __all__ = [
@@ -183,21 +182,8 @@ def render_prometheus(snapshot: dict) -> str:
 
 def write_prometheus(snapshot: dict, path) -> None:
     """Atomically (re)write the Prometheus exposition file at ``path``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(render_prometheus(snapshot))
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    with atomic_open(path) as fh:
+        fh.write(render_prometheus(snapshot))
 
 
 class TelemetrySchedule:

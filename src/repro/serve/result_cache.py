@@ -27,14 +27,13 @@ request lock.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
-import tempfile
 import warnings
 from collections import OrderedDict
 from pathlib import Path
 
+from .._atomic import atomic_open
 from ..errors import ConfigError
 
 __all__ = ["RESULTS_SCHEMA", "ResultCache", "ServeWarning", "payload_nbytes"]
@@ -203,20 +202,9 @@ class ResultCache:
     def save(self, path: "str | os.PathLike") -> None:
         """Atomically (re)write the cache document at ``path``.
 
-        Same staging discipline as :meth:`repro.tune.cache.TuningCache.save`:
-        temp file in the target directory, then :func:`os.replace`.
+        Staged through :func:`repro._atomic.atomic_open`, like the tuning
+        cache and the Prometheus exposition.
         """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(self.to_dict(), fh, separators=(",", ":"), sort_keys=False)
-                fh.write("\n")
-            os.replace(tmp_name, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
+        with atomic_open(path) as fh:
+            json.dump(self.to_dict(), fh, separators=(",", ":"), sort_keys=False)
+            fh.write("\n")

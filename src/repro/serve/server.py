@@ -44,6 +44,9 @@ set of kernel launches; the batch splitter's bit-identity guarantee is what
 makes this safe to do silently.  Hits replay the memoized payload with zero
 kernel launches.  Graceful shutdown drains in-flight requests, then
 persists the result cache atomically (temp file + ``os.replace``).
+Inputs the daemon cannot answer exactly — an inline dtype other than
+float32/float64, a non-finite entry, a coverage that overflows to nan or
+inf — are request errors, never cached.
 
 The ``update`` op patches a cached extraction in place when the client's
 graph evolves: the request carries the *pre-edit* matrix plus an ``edits``
@@ -59,6 +62,10 @@ as ``delta.*`` counters in the per-request report — otherwise it falls back
 to a full extraction of the edited matrix (``serve.delta.cold``).  The
 response is the extract-shaped payload plus a top-level ``delta`` dict
 (``warm``, and the engine's stats when warm); see ``docs/INCREMENTAL.md``.
+Updates take the same request path as extracts, so identical concurrent
+updates coalesce (a follower's ``delta`` is ``null``, as on any hit), and
+every extraction the daemon runs, batch-window members included, seeds the
+warm-seed store.
 """
 
 from __future__ import annotations
@@ -212,7 +219,9 @@ def load_matrix(spec) -> CSRMatrix:
     Three kinds: ``{"kind": "file", "path": ...}`` reads a Matrix Market
     file; ``{"kind": "suite", "name": ..., "scale": ...}`` builds a bundled
     suite matrix; ``{"kind": "csr", "indptr": ..., "indices": ...,
-    "data": ..., "n": ..., "dtype": ...}`` carries the matrix inline.
+    "data": ..., "n": ..., "dtype": ...}`` carries the matrix inline.  An
+    inline dtype other than float32/float64, or a non-finite entry in a
+    file or inline matrix, is a :class:`~repro.errors.ConfigError` naming it.
     """
     if not isinstance(spec, dict):
         raise ConfigError("request 'matrix' must be a JSON object with a 'kind'")
@@ -222,21 +231,23 @@ def load_matrix(spec) -> CSRMatrix:
         if not path:
             raise ConfigError("matrix kind 'file' requires a 'path'")
         try:
-            return read_matrix_market(path)
+            a = read_matrix_market(path)
         except OSError as exc:
             raise ConfigError(f"could not read matrix file {path}: {exc}") from exc
-    if kind == "suite":
+    elif kind == "suite":
         name = spec.get("name")
         if name not in SUITE:
             raise ConfigError(
                 f"unknown suite matrix {name!r} (valid: {sorted(SUITE)})"
             )
         return build_matrix(name, scale=float(spec.get("scale", 1.0)))
-    if kind == "csr":
+    elif kind == "csr":
         try:
             n = int(spec["n"])
             dtype = np.dtype(spec.get("dtype", "float64"))
-            return CSRMatrix(
+            if dtype not in (np.float32, np.float64):
+                raise ConfigError(f"inline dtype {dtype.name!r} is not float32/float64")
+            a = CSRMatrix(
                 indptr=np.asarray(spec["indptr"], dtype=np.int64),
                 indices=np.asarray(spec["indices"], dtype=np.int64),
                 data=np.asarray(spec["data"], dtype=dtype),
@@ -244,7 +255,17 @@ def load_matrix(spec) -> CSRMatrix:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed inline csr matrix: {exc}") from exc
-    raise ConfigError(f"unknown matrix kind {kind!r} (valid: file, suite, csr)")
+    else:
+        raise ConfigError(f"unknown matrix kind {kind!r} (valid: file, suite, csr)")
+    finite = np.isfinite(a.data)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        row = int(np.searchsorted(a.indptr, k, side="right")) - 1
+        raise ConfigError(
+            f"matrix entry at row {row}, column {int(a.indices[k])} is "
+            f"{a.data[k]}; weights must be finite"
+        )
+    return a
 
 
 # -- result payloads -------------------------------------------------------
@@ -489,9 +510,7 @@ class ReproServer:
             }
             self._record_simple("stats", t0, request_id)
             return response
-        if op == "update":
-            return self._dispatch_update(request_id, request, t0)
-        if op not in ("extract", "factor", "solve"):
+        if op not in ("extract", "factor", "solve", "update"):
             exc = ConfigError(
                 f"unknown op {op!r} (valid: extract, factor, solve, update, "
                 "ping, stats, shutdown)"
@@ -505,19 +524,34 @@ class ReproServer:
         try:
             with session.ambient():
                 cfg = canonical_config(op, request.get("config"))
+                edits = (
+                    EditBatch.from_dicts(request.get("edits"))
+                    if op == "update" else None
+                )
                 with session.span("serve-load-matrix"):
                     a = load_matrix(request.get("matrix"))
                 with session.span("serve-fingerprint"):
-                    prepared = prepare_graph(a)
-                    fp = fingerprint_graph(prepared)
-                    key = request_key(op, fp, matrix_digest(a), cfg)
-                session.annotate(key=key, n_vertices=a.n_rows, nnz=a.nnz)
-                payload, cached = self._resolve(op, key, a, prepared, cfg, session)
+                    # an update is keyed as the extract of the edited matrix
+                    keyed = a if edits is None else apply_edits_to_matrix(a, edits)
+                    prepared = prepare_graph(keyed)
+                    key = request_key(
+                        "extract" if op == "update" else op,
+                        fingerprint_graph(prepared), matrix_digest(keyed), cfg,
+                    )
+                session.annotate(
+                    key=key, n_vertices=a.n_rows, nnz=a.nnz,
+                    n_edits=None if edits is None else len(edits),
+                )
+                payload, cached, delta = self._resolve(
+                    op, key, keyed, prepared, cfg, session,
+                    update=None if edits is None else (a, edits),
+                )
             report = session.finish()
             report["serve"] = self._record_session(session, t0)
             return {
                 "id": request_id, "ok": True, "op": op, "protocol": PROTOCOL,
-                "key": key, "cached": cached, "result": payload, "report": report,
+                "key": key, "cached": cached, "result": payload,
+                **({"delta": delta} if op == "update" else {}), "report": report,
             }
         except Exception as exc:  # a daemon survives bad requests
             self.metrics.counter("serve.errors").inc()
@@ -528,117 +562,21 @@ class ReproServer:
             response["report"] = report
             return response
 
-    def _dispatch_update(self, request_id, request, t0) -> dict:
-        """The ``update`` op: patch a cached extraction for an edited graph.
-
-        Keyed as the *extract* entry of the edited matrix, so a later plain
-        ``extract`` of it hits the patched entry, and a repeat of the same
-        update hits it too (``cached: true``).  ``delta`` in the response
-        describes how the refresh ran: ``null`` on a cache hit, ``{"warm":
-        false}`` when the pre-edit result had aged out of the warm-seed
-        store (full re-extraction), ``{"warm": true, "stats": ...}`` when
-        the delta engine ran.
-        """
-        session = RequestSession("update", request_id=request_id)
-        try:
-            with session.ambient():
-                cfg = canonical_config("update", request.get("config"))
-                edits = EditBatch.from_dicts(request.get("edits"))
-                with session.span("serve-load-matrix"):
-                    a = load_matrix(request.get("matrix"))
-                with session.span("serve-fingerprint"):
-                    a_new = apply_edits_to_matrix(a, edits)
-                    prepared_new = prepare_graph(a_new)
-                    fp = fingerprint_graph(prepared_new)
-                    key = request_key("extract", fp, matrix_digest(a_new), cfg)
-                session.annotate(
-                    key=key, n_vertices=a.n_rows, nnz=a.nnz, n_edits=len(edits)
-                )
-                payload, cached, delta = self._resolve_update(
-                    key, a, a_new, prepared_new, edits, cfg, session
-                )
-            report = session.finish()
-            report["serve"] = self._record_session(session, t0)
-            return {
-                "id": request_id, "ok": True, "op": "update",
-                "protocol": PROTOCOL, "key": key, "cached": cached,
-                "result": payload, "delta": delta, "report": report,
-            }
-        except Exception as exc:  # a daemon survives bad requests
-            self.metrics.counter("serve.errors").inc()
-            error_text = f"{type(exc).__name__}: {exc}"
-            report = session.finish(error=error_text)
-            report["serve"] = self._record_session(session, t0, error=error_text)
-            response = _error_response(request_id, exc, op="update")
-            response["report"] = report
-            return response
-
-    def _resolve_update(self, key, a, a_new, prepared_new, edits, cfg, session):
-        """Serve one update: cache hit replays, otherwise refresh and store.
-
-        Concurrent identical updates are not coalesced — a warm refresh is
-        already a few launches — but the payload they race to ``put`` is
-        bit-identical, so the last write is indistinguishable from the
-        first.
-        """
-        with self._lock:
-            payload = self.cache.get(key)
-        if payload is not None:
-            self.metrics.counter("serve.cache.hit").inc()
-            session.record_cache(hit=True)
-            return payload, True, None
-        self.metrics.counter("serve.cache.miss").inc()
-        session.record_cache(hit=False)
-        with session.span("serve-pipeline"):
-            warm = self._warm_get(self._warm_key(a, cfg))
-            if warm is None:
-                # the pre-edit result is gone: extract the edited matrix
-                # from scratch (still seeds the warm store for next time)
-                self.metrics.counter("serve.delta.cold").inc()
-                session.annotate(delta="cold")
-                result = extract_linear_forest(
-                    a_new, _config_from(cfg), device=self._run_device(),
-                    merged_scan=cfg["merged_scan"],
-                    compaction=self.config.compaction,
-                    prepared_graph=prepared_new,
-                )
-                delta = {"warm": False, "stats": None}
-            else:
-                self.metrics.counter("serve.delta.warm").inc()
-                session.annotate(delta="warm")
-                updated = apply_edits(
-                    warm, edits, a, _config_from(cfg),
-                    device=self._run_device(),
-                    compaction=self.config.compaction,
-                )
-                result = updated.result
-                delta = {"warm": True, "stats": updated.stats.to_dict()}
-            self._warm_put(self._warm_key(a_new, cfg), result)
-        payload = _extract_payload(result)
-        with self._lock:
-            stored = self.cache.put(key, payload)
-        session.annotate(stored=stored)
-        return payload, False, delta
-
     # -- warm-seed store ---------------------------------------------------
     def _warm_key(self, a, cfg) -> str:
         return f"{matrix_digest(a)}:cfg={config_digest(cfg)}"
 
-    def _warm_get(self, wkey):
-        with self._lock:
-            hit = self._warm.get(wkey)
-            if hit is not None:
+    def _seed_warm(self, a, cfg, result) -> dict:
+        """Keep ``result``, the extraction of ``a``, for later updates and
+        return its payload; every extraction the daemon runs passes here."""
+        if self.config.warm_results > 0:
+            wkey = self._warm_key(a, cfg)
+            with self._lock:
+                self._warm[wkey] = result
                 self._warm.move_to_end(wkey)
-            return hit
-
-    def _warm_put(self, wkey, result) -> None:
-        if self.config.warm_results <= 0:
-            return
-        with self._lock:
-            self._warm[wkey] = result
-            self._warm.move_to_end(wkey)
-            while len(self._warm) > self.config.warm_results:
-                self._warm.popitem(last=False)
+                while len(self._warm) > self.config.warm_results:
+                    self._warm.popitem(last=False)
+        return _extract_payload(result)
 
     # -- aggregate feeding -------------------------------------------------
     def _record_simple(self, op, t0, request_id, *, error=None) -> None:
@@ -684,14 +622,19 @@ class ReproServer:
         }
 
     # -- cache + coalescing ------------------------------------------------
-    def _resolve(self, op, key, a, prepared, cfg, session):
-        """The cache contract: hit replays, miss runs, identical misses share."""
+    def _resolve(self, op, key, a, prepared, cfg, session, update=None):
+        """The cache contract: hit replays, miss runs, identical misses share.
+
+        An update passes the edited matrix as ``a`` and ``update=(pre-edit
+        matrix, edits)``.  Returns ``(payload, cached, delta)``; ``delta`` is
+        ``None`` except on an update's own miss.
+        """
         with self._lock:
             payload = self.cache.get(key)
             if payload is not None:
                 self.metrics.counter("serve.cache.hit").inc()
                 session.record_cache(hit=True)
-                return payload, True
+                return payload, True, None
             waiter = self._inflight.get(key)
             if waiter is None:
                 waiter = _Waiter()
@@ -708,19 +651,26 @@ class ReproServer:
             self.metrics.counter("serve.cache.hit").inc()
             self.metrics.counter("serve.coalesced").inc()
             session.record_cache(hit=True, coalesced=True)
-            return waiter.payload, True
+            return waiter.payload, True, None
         self.metrics.counter("serve.cache.miss").inc()
         session.record_cache(hit=False)
+        delta = None
         try:
             with session.span("serve-pipeline"):
                 batch_size = 1
-                if op == "extract" and self.config.batch_window > 0:
+                if update is not None:
+                    payload, delta = self._run_update(*update, a, prepared, cfg, session)
+                elif op == "extract" and self.config.batch_window > 0:
                     payload, batch_size = self._batched_extract(a, prepared, cfg)
                 else:
                     payload = self._run_solo(op, a, prepared, cfg)
             if op == "extract":
                 session.record_batch(batch_size)
                 self.metrics.histogram("serve.batch.size").observe(batch_size)
+            # finite weights can still overflow the coverage sums
+            coverage = payload.get("coverage")
+            if coverage is not None and not np.isfinite(coverage):
+                raise ConfigError(f"{op} coverage is {coverage}: the weights overflow")
         except BaseException as exc:
             with self._lock:
                 self._inflight.pop(key, None)
@@ -733,7 +683,7 @@ class ReproServer:
         waiter.payload = payload
         waiter.event.set()
         session.annotate(stored=stored)
-        return payload, False
+        return payload, False, delta
 
     def _run_device(self) -> Device:
         """The metering device of one cold pipeline run.
@@ -748,14 +698,11 @@ class ReproServer:
 
     def _run_solo(self, op, a, prepared, cfg):
         if op == "extract":
-            result = extract_linear_forest(
+            return self._seed_warm(a, cfg, extract_linear_forest(
                 a, _config_from(cfg), device=self._run_device(),
                 merged_scan=cfg["merged_scan"],
                 compaction=self.config.compaction, prepared_graph=prepared,
-            )
-            # keep the full result around so a later update runs warm
-            self._warm_put(self._warm_key(a, cfg), result)
-            return _extract_payload(result)
+            ))
         if op == "factor":
             res = parallel_factor(
                 prepared, _config_from(cfg, n=cfg["n"]), device=self._run_device(),
@@ -792,6 +739,29 @@ class ReproServer:
             "preconditioner": precond.name,
             "preconditioner_coverage": float(precond.coverage),
         }
+
+    def _run_update(self, before, edits, a, prepared, cfg, session):
+        """An update miss: ``apply_edits`` on the warm extraction of
+        ``before`` if the store holds one, else a cold extract of the edited
+        ``a``.  Returns the payload and the response's ``delta``."""
+        wkey = self._warm_key(before, cfg)
+        with self._lock:
+            warm = self._warm.get(wkey)
+            if warm is not None:
+                self._warm.move_to_end(wkey)
+        if warm is None:
+            self.metrics.counter("serve.delta.cold").inc()
+            session.annotate(delta="cold")
+            payload = self._run_solo("extract", a, prepared, cfg)
+            return payload, {"warm": False, "stats": None}
+        self.metrics.counter("serve.delta.warm").inc()
+        session.annotate(delta="warm")
+        updated = apply_edits(
+            warm, edits, before, _config_from(cfg), device=self._run_device(),
+            compaction=self.config.compaction,
+        )
+        payload = self._seed_warm(a, cfg, updated.result)
+        return payload, {"warm": True, "stats": updated.stats.to_dict()}
 
     # -- window batching of cold extract misses ----------------------------
     def _batched_extract(self, a, prepared, cfg):
@@ -849,7 +819,11 @@ class ReproServer:
                 compaction=self.config.compaction,
             )
             self.metrics.counter("serve.batched_runs").inc()
-            payloads = [_extract_payload(member) for member in result.members]
+            # members are bit-identical to solo runs, so they seed alike
+            payloads = [
+                self._seed_warm(item.original, cfg, member)
+                for item, member in zip(group, result.members)
+            ]
         for item, payload in zip(group, payloads):
             item.payload = payload
             item.batch_size = len(group)

@@ -18,15 +18,14 @@ ambient).  Strict loading for tools that *want* the errors is
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
-import tempfile
 import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .._atomic import atomic_open
 from ..core.frontier import AdaptiveCompaction, CompactionPolicy, resolve_compaction
 from ..errors import ConfigError
 from ..obs.metrics import current_metrics
@@ -144,20 +143,9 @@ class TuningCache:
         readers see either the old document or the new one, never a partial
         write.
         """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp_name, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
+        with atomic_open(path) as fh:
+            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 @dataclass

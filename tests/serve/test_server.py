@@ -133,6 +133,40 @@ class TestLoadMatrix:
         with pytest.raises(ConfigError, match="must be a JSON object"):
             load_matrix("m.mtx")
 
+    def test_csr_kind_refuses_non_real_dtypes(self, server):
+        spec = dict(_csr_spec(aniso2(8)), dtype="complex128")
+        with pytest.raises(ConfigError, match="'complex128'"):
+            load_matrix(spec)
+        r = server.handle_request({"op": "extract", "matrix": spec})
+        assert r["ok"] is False and "complex128" in r["error"]["message"]
+
+    @pytest.mark.parametrize("case", ["all-nan", "one-inf", "file-inf"])
+    def test_non_finite_entries_are_refused_by_name(self, server, case, tmp_path):
+        if case == "all-nan":
+            nan = float("nan")
+            spec = {"kind": "csr", "n": 2, "indptr": [0, 1, 2],
+                    "indices": [1, 0], "data": [nan, nan]}
+            named = "row 0, column 1 is nan"
+        elif case == "one-inf":
+            spec = _csr_spec(aniso2(8))
+            k = spec["indptr"][5] + 1  # the second entry of row 5
+            spec["data"][k] = float("-inf")
+            named = f"row 5, column {spec['indices'][k]} is -inf"
+        else:
+            path = tmp_path / "inf.mtx"
+            path.write_text(
+                "%%MatrixMarket matrix coordinate real general\n"
+                "3 3 4\n1 2 1.0\n2 1 1.0\n2 3 inf\n3 2 1.0\n"
+            )
+            spec = {"kind": "file", "path": str(path)}
+            named = "row 1, column 2 is inf"
+        with pytest.raises(ConfigError, match=named):
+            load_matrix(spec)
+        for _ in range(2):  # refused every time, so never cached
+            r = server.handle_request({"op": "extract", "matrix": spec})
+            assert r["ok"] is False and named in r["error"]["message"]
+        assert len(server.cache) == 0
+
 
 class TestHandleRequest:
     def test_cache_hit_is_bit_identical_to_the_cold_run(self, server, matrix):
@@ -206,6 +240,17 @@ class TestHandleRequest:
             r = server.handle_request(req)
             assert r["ok"] is False
             assert fragment in r["error"]["message"]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_coverage_fails_and_is_never_cached(self, server):
+        # finite weights whose sum overflows: coverage would be inf / inf
+        spec = {"kind": "csr", "n": 3, "indptr": [0, 1, 3, 4],
+                "indices": [1, 0, 2, 1], "data": [1.7e308] * 4}
+        for _ in range(2):
+            r = server.handle_request({"op": "extract", "matrix": spec})
+            assert r["ok"] is False
+            assert "coverage is nan" in r["error"]["message"]
+        assert len(server.cache) == 0
 
     def test_ping_and_stats(self, server, matrix):
         assert server.handle_request({"op": "ping"})["ok"]

@@ -1,11 +1,15 @@
 """The serve ``update`` op: warm delta refreshes of cached extractions."""
 
+import threading
+import time
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.core.delta import EditBatch, apply_edits_to_matrix
-from repro.graphs import aniso2
+from repro.graphs import aniso1, aniso2
 from repro.serve import ReproServer, ServeConfig
+from repro.serve import server as server_mod
 
 # a 64x64 grid keeps the invalidation ball (radius 19) of a corner edit
 # under the region cutoff, so warm updates exercise the true delta path
@@ -24,6 +28,27 @@ def _csr_spec(a):
         "data": [float(v) for v in a.data],
         "dtype": str(a.data.dtype),
     }
+
+
+def _fire_together(server, requests):
+    """Send ``requests`` from barrier-synchronized threads; the responses."""
+    barrier = threading.Barrier(len(requests))
+    responses = []
+    lock = threading.Lock()
+
+    def fire(request):
+        barrier.wait()
+        response = server.handle_request(request)
+        with lock:
+            responses.append(response)
+
+    threads = [threading.Thread(target=fire, args=(r,)) for r in requests]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    return responses
 
 
 @pytest.fixture
@@ -124,6 +149,48 @@ def test_chained_updates_stay_warm(server, matrix):
     )
     assert second["delta"]["warm"] is True
     assert server.metrics.as_dict()["counters"]["serve.delta.warm"] == 2
+
+
+def test_identical_updates_coalesce_into_one_refresh(server, matrix, monkeypatch):
+    server.handle_request({"op": "extract", "id": 1, "matrix": _csr_spec(matrix)})
+    calls = []
+    real = server_mod.apply_edits
+
+    def slow(*args, **kwargs):
+        calls.append(1)
+        time.sleep(0.2)  # let the identical update park on the waiter
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(server_mod, "apply_edits", slow)
+    request = {"op": "update", "matrix": _csr_spec(matrix), "edits": EDITS}
+    responses = _fire_together(server, [dict(request), dict(request)])
+    assert len(calls) == 1
+    leader, follower = sorted(responses, key=lambda r: r["cached"])
+    assert [leader["cached"], follower["cached"]] == [False, True]
+    assert leader["delta"]["warm"] is True
+    # the follower did no refresh of its own: a hit's shape, no delta
+    assert follower["delta"] is None
+    assert follower["result"] == leader["result"]
+    assert server.metrics.counters["serve.coalesced"].value == 1
+
+
+def test_batch_window_members_seed_the_warm_store(matrix):
+    server = ReproServer(ServeConfig(batch_window=0.25))
+    responses = _fire_together(server, [
+        {"op": "extract", "matrix": _csr_spec(matrix)},
+        {"op": "extract", "matrix": _csr_spec(aniso1(24))},
+    ])
+    assert all(r["ok"] and r["cached"] is False for r in responses)
+    assert server.metrics.counters["serve.batched_runs"].value == 1
+    resp = server.handle_request(
+        {"op": "update", "id": 3, "matrix": _csr_spec(matrix), "edits": EDITS}
+    )
+    assert resp["delta"]["warm"] is True
+    edited = apply_edits_to_matrix(matrix, EditBatch.from_dicts(EDITS))
+    cold = ReproServer(ServeConfig()).handle_request(
+        {"op": "extract", "id": 4, "matrix": _csr_spec(edited)}
+    )
+    assert resp["result"] == cold["result"]
 
 
 def test_warm_store_is_a_bounded_lru(matrix):
