@@ -2,7 +2,7 @@
 
 The ``repro serve`` daemon exists for two numbers: a warm cache hit must
 cost **zero** kernel launches (the result is replayed, bit-identically, from
-the fingerprint-keyed cache), and a burst of distinct cold misses inside the
+the content-keyed cache), and a burst of distinct cold misses inside the
 batch window must share one set of launches through the block-diagonal
 batch engine instead of paying per-request.  This gate pins
 

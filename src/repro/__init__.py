@@ -45,7 +45,7 @@ Subpackages
     Per-matrix compaction-policy autotuning: decision-log replay, cost-model
     fitting, the versioned ``tuning.json`` cache behind ``--compaction auto``.
 ``repro.serve``
-    The ``repro serve`` daemon: a fingerprint-keyed result cache over a
+    The ``repro serve`` daemon: a content-keyed result cache over a
     line-delimited JSON protocol, with batch coalescing of cold misses.
 ``repro.delta``
     Incremental extraction for dynamic graphs: apply an edit batch to a

@@ -23,7 +23,7 @@ Matrix Market files):
   ``--compaction auto`` (see docs/TUNING.md);
 * ``serve`` — run the long-lived result-caching daemon: line-delimited JSON
   requests on stdin, responses on stdout, repeat requests served from a
-  fingerprint-keyed cache with zero kernel launches (see docs/SERVING.md);
+  content-keyed cache with zero kernel launches (see docs/SERVING.md);
   ``--telemetry-log``/``--prom-out`` stream its lifetime telemetry to disk;
 * ``obs`` — inspect telemetry artifacts offline: ``obs report`` summarizes
   a telemetry log / stats snapshot / RunReport / bench report, ``obs diff``

@@ -33,6 +33,7 @@ import random
 import threading
 import zlib
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -217,19 +218,20 @@ class MetricsRegistry:
 
 
 # -- the ambient registry --------------------------------------------------
-_ACTIVE: list[MetricsRegistry] = []
+#: The innermost registry installed in this context (per thread, as the tracer).
+_CURRENT: ContextVar[MetricsRegistry | None] = ContextVar("repro.obs.metrics", default=None)
 
 
 def current_metrics() -> MetricsRegistry | None:
     """The innermost registry installed with :func:`use_metrics`, or ``None``."""
-    return _ACTIVE[-1] if _ACTIVE else None
+    return _CURRENT.get()
 
 
 @contextmanager
 def use_metrics(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
     """Install ``registry`` as the ambient registry for the ``with`` body."""
-    _ACTIVE.append(registry)
+    token = _CURRENT.set(registry)
     try:
         yield registry
     finally:
-        _ACTIVE.pop()
+        _CURRENT.reset(token)

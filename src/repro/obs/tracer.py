@@ -9,10 +9,10 @@ exportable as Chrome trace-event JSON (loadable in Perfetto or
 ``chrome://tracing``) and as JSONL, and the run-report builder in
 :mod:`repro.obs.report` aggregates it into a machine-readable schema.
 
-A process-wide *ambient* tracer makes the instrumentation zero-cost when
-off: every instrumented site asks :func:`current_tracer` and skips all
-bookkeeping when none is installed.  Install one for the dynamic extent of
-a run with :func:`use_tracer`::
+An *ambient* tracer, installed per thread, makes the instrumentation
+zero-cost when off: every instrumented site asks :func:`current_tracer`
+and skips all bookkeeping when none is installed.  Install one for the
+dynamic extent of a run with :func:`use_tracer`::
 
     tracer = Tracer("extract")
     with use_tracer(tracer):
@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -248,22 +249,24 @@ class Tracer:
 
 
 # -- the ambient tracer ----------------------------------------------------
-_ACTIVE: list[Tracer] = []
+#: The innermost tracer installed in this context; a new thread starts
+#: with none, so concurrent requests never record into each other's.
+_CURRENT: ContextVar[Tracer | None] = ContextVar("repro.obs.tracer", default=None)
 
 
 def current_tracer() -> Tracer | None:
     """The innermost tracer installed with :func:`use_tracer`, or ``None``."""
-    return _ACTIVE[-1] if _ACTIVE else None
+    return _CURRENT.get()
 
 
 @contextmanager
 def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
     """Install ``tracer`` as the ambient tracer for the ``with`` body."""
-    _ACTIVE.append(tracer)
+    token = _CURRENT.set(tracer)
     try:
         yield tracer
     finally:
-        _ACTIVE.pop()
+        _CURRENT.reset(token)
 
 
 @contextmanager

@@ -1,7 +1,7 @@
-"""Long-lived serving: the fingerprint-keyed result-caching daemon.
+"""Long-lived serving: the content-keyed result-caching daemon.
 
 ``repro serve`` amortizes extraction across repeat traffic: requests are
-keyed by the content fingerprint of the prepared graph plus a canonicalized
+keyed by the content digest of the input matrix plus a canonicalized
 config digest, hits replay the memoized result with zero kernel launches
 (bit-identical to the cold run), identical concurrent misses share one
 pipeline run, and distinct cold misses inside the batch window share one

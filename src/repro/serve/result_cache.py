@@ -1,6 +1,6 @@
 """The content-keyed result store behind the ``repro serve`` daemon.
 
-One :class:`ResultCache` maps request keys — ``op`` + graph fingerprint +
+One :class:`ResultCache` maps request keys — ``op`` + input-matrix digest +
 canonicalized config digest, see :mod:`repro.serve.server` — to the
 JSON-safe result payload the cold run produced.  A hit replays that payload
 verbatim, which is why serving from the cache is bit-identical to the cold
@@ -39,8 +39,9 @@ from ..errors import ConfigError
 __all__ = ["RESULTS_SCHEMA", "ResultCache", "ServeWarning", "payload_nbytes"]
 
 #: Schema tag of the persisted result-cache document; bumping it invalidates
-#: old documents instead of mis-reading them.
-RESULTS_SCHEMA = "repro.serve/results/v1"
+#: old documents instead of mis-reading them.  v2: keys carry the full input
+#: digest and no prepared-graph fingerprint, so no request can reach a v1 key.
+RESULTS_SCHEMA = "repro.serve/results/v2"
 
 
 class ServeWarning(UserWarning):

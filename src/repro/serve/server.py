@@ -1,4 +1,4 @@
-"""The ``repro serve`` daemon: a fingerprint-keyed result-caching request loop.
+"""The ``repro serve`` daemon: a content-keyed result-caching request loop.
 
 A long-lived process that amortizes extraction across repeat traffic.  The
 protocol is line-delimited JSON (schema tag ``repro.serve/v1``): each
@@ -23,17 +23,17 @@ see ``docs/OBSERVABILITY.md``).
 
 Requests are keyed by content, not identity::
 
-    op : fingerprint_graph(prepare_graph(A)).key : A-digest : cfg=<digest>
+    op : in=<A-digest> : cfg=<digest>
 
-The prepared-graph fingerprint (:func:`repro.tune.fingerprint_graph`, v2
-dtype-tagged digest) is the primary key, exactly as the issue's cache
-contract specifies; the original matrix's own
-:func:`~repro.tune.fingerprint.matrix_digest` rides along because two
-originals can *prepare* identically while differing where preparation
-discards information (the diagonal, signs) — and the tridiagonal bands are
-extracted from the original, so serving one original's bands for the other
-would be a silent mis-serve.  The config digest is a SHA-256 over the
-canonicalized (defaults-overlaid, unknown-keys-rejected) request config.
+The input digest is :func:`repro.sparse.matrix_digest`, a dtype-tagged
+SHA-256 over the request matrix's CSR buffers.  It decides every cached
+field: the prepared graph ``|A| - diag(|A|)`` (symmetrized when ``A`` is
+not) is a function of ``A``, and the tridiagonal bands are cut from ``A``
+itself, so a key is computed without preparing anything and a miss
+prepares inside the engine it runs.  The config digest is a SHA-256 over
+the canonicalized (defaults-overlaid, unknown-keys-rejected) request
+config.  The result cache, the in-flight table and the warm-seed store
+share this one key.
 
 Cache misses run the real pipeline.  Concurrent *identical* misses are
 coalesced leader/follower style — one pipeline run, every follower counts
@@ -50,16 +50,17 @@ inf — are request errors, never cached.
 
 The ``update`` op patches a cached extraction in place when the client's
 graph evolves: the request carries the *pre-edit* matrix plus an ``edits``
-list (the :meth:`repro.delta.EditBatch.from_dicts` format), the daemon
-computes the edited matrix's fingerprint and caches the refreshed payload
-under the **extract** key of the edited matrix — so a later plain
-``extract`` of the edited graph is a hit.  When the pre-edit extraction is
-still in the daemon's warm-seed store (a small LRU of recent in-memory
-``LinearForestResult`` objects; the JSON result cache alone cannot seed the
-delta engine), the refresh runs through :func:`repro.delta.apply_edits` —
-bit-identical to a from-scratch run at a fraction of the launches, metered
-as ``delta.*`` counters in the per-request report — otherwise it falls back
-to a full extraction of the edited matrix (``serve.delta.cold``).  The
+list (the :meth:`repro.delta.EditBatch.from_dicts` format), and the daemon
+keys it as the **extract** of the edited matrix and caches the refreshed
+payload there — so a later plain ``extract`` of the edited graph is a hit.
+When the pre-edit extraction is still in the daemon's warm-seed store (a
+small LRU of recent in-memory ``LinearForestResult`` objects; the JSON
+result cache alone cannot seed the delta engine), the refresh runs through
+:func:`repro.delta.apply_edits` — bit-identical to a from-scratch run at a
+fraction of the launches, metered as ``delta.*`` counters in the
+per-request report — otherwise it falls back to a full extraction of the
+edited matrix (``serve.delta.cold``).  Either way the edited matrix is
+prepared once, inside the engine that runs.  The
 response is the extract-shaped payload plus a top-level ``delta`` dict
 (``warm``, and the engine's stats when warm); see ``docs/INCREMENTAL.md``.
 Updates take the same request path as extracts, so identical concurrent
@@ -80,6 +81,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .._validation import check_square
 from ..batch import extract_linear_forest_batch
 from ..core import ParallelFactorConfig, coverage, extract_linear_forest, parallel_factor
 from ..core.delta import EditBatch, apply_edits, apply_edits_to_matrix
@@ -95,8 +97,7 @@ from ..solvers import (
     TriScalPrecond,
     bicgstab,
 )
-from ..sparse import CSRMatrix, prepare_graph, read_matrix_market
-from ..tune import fingerprint_graph, matrix_digest
+from ..sparse import CSRMatrix, matrix_digest, prepare_graph, read_matrix_market
 from .result_cache import ResultCache
 from .session import RequestSession
 
@@ -208,9 +209,9 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def request_key(op: str, fingerprint, original_digest: str, cfg: dict) -> str:
-    """The result-cache key: op + prepared fingerprint + input digest + config."""
-    return f"{op}:{fingerprint.key}:in={original_digest}:cfg={config_digest(cfg)}"
+def request_key(op: str, a: CSRMatrix, cfg: dict) -> str:
+    """The result-cache key: op + input digest + config digest."""
+    return f"{op}:in={matrix_digest(a)}:cfg={config_digest(cfg)}"
 
 
 def load_matrix(spec) -> CSRMatrix:
@@ -222,6 +223,8 @@ def load_matrix(spec) -> CSRMatrix:
     "data": ..., "n": ..., "dtype": ...}`` carries the matrix inline.  An
     inline dtype other than float32/float64, or a non-finite entry in a
     file or inline matrix, is a :class:`~repro.errors.ConfigError` naming it.
+    A non-square file matrix is a :class:`~repro.errors.ShapeError`: the
+    request key digests the row count but not the column count.
     """
     if not isinstance(spec, dict):
         raise ConfigError("request 'matrix' must be a JSON object with a 'kind'")
@@ -234,6 +237,7 @@ def load_matrix(spec) -> CSRMatrix:
             a = read_matrix_market(path)
         except OSError as exc:
             raise ConfigError(f"could not read matrix file {path}: {exc}") from exc
+        check_square(a.shape)
     elif kind == "suite":
         name = spec.get("name")
         if name not in SUITE:
@@ -395,9 +399,8 @@ class _BatchItem:
     """One cold extract miss parked in the batch window."""
 
     original: CSRMatrix
-    prepared: CSRMatrix
+    key: str
     cfg: dict
-    cfg_digest: str
     event: threading.Event = field(default_factory=threading.Event)
     payload: dict | None = None
     error: BaseException | None = None
@@ -450,10 +453,10 @@ class ReproServer:
         self._persisted = False
         self._batch_lock = threading.Lock()
         self._batch_pending: list = []
-        # warm-seed store for the update op: digest-of-(matrix, config) ->
-        # (matrix, LinearForestResult).  The JSON result cache only holds
-        # payloads, which cannot seed the delta engine; this small LRU keeps
-        # the most recent full results in memory so updates run warm.
+        # warm-seed store for the update op: extract key ->
+        # LinearForestResult.  The JSON result cache only holds payloads,
+        # which cannot seed the delta engine; this small LRU keeps the most
+        # recent full results in memory so updates run warm.
         self._warm: OrderedDict = OrderedDict()
 
     # -- protocol entry points ---------------------------------------------
@@ -533,17 +536,13 @@ class ReproServer:
                 with session.span("serve-fingerprint"):
                     # an update is keyed as the extract of the edited matrix
                     keyed = a if edits is None else apply_edits_to_matrix(a, edits)
-                    prepared = prepare_graph(keyed)
-                    key = request_key(
-                        "extract" if op == "update" else op,
-                        fingerprint_graph(prepared), matrix_digest(keyed), cfg,
-                    )
+                    key = request_key("extract" if op == "update" else op, keyed, cfg)
                 session.annotate(
                     key=key, n_vertices=a.n_rows, nnz=a.nnz,
                     n_edits=None if edits is None else len(edits),
                 )
                 payload, cached, delta = self._resolve(
-                    op, key, keyed, prepared, cfg, session,
+                    op, key, keyed, cfg, session,
                     update=None if edits is None else (a, edits),
                 )
             report = session.finish()
@@ -563,17 +562,13 @@ class ReproServer:
             return response
 
     # -- warm-seed store ---------------------------------------------------
-    def _warm_key(self, a, cfg) -> str:
-        return f"{matrix_digest(a)}:cfg={config_digest(cfg)}"
-
-    def _seed_warm(self, a, cfg, result) -> dict:
-        """Keep ``result``, the extraction of ``a``, for later updates and
-        return its payload; every extraction the daemon runs passes here."""
+    def _seed_warm(self, key, result) -> dict:
+        """Keep ``result``, the extraction keyed ``key``, for later updates
+        and return its payload; every extraction the daemon runs passes here."""
         if self.config.warm_results > 0:
-            wkey = self._warm_key(a, cfg)
             with self._lock:
-                self._warm[wkey] = result
-                self._warm.move_to_end(wkey)
+                self._warm[key] = result
+                self._warm.move_to_end(key)
                 while len(self._warm) > self.config.warm_results:
                     self._warm.popitem(last=False)
         return _extract_payload(result)
@@ -622,7 +617,7 @@ class ReproServer:
         }
 
     # -- cache + coalescing ------------------------------------------------
-    def _resolve(self, op, key, a, prepared, cfg, session, update=None):
+    def _resolve(self, op, key, a, cfg, session, update=None):
         """The cache contract: hit replays, miss runs, identical misses share.
 
         An update passes the edited matrix as ``a`` and ``update=(pre-edit
@@ -659,11 +654,11 @@ class ReproServer:
             with session.span("serve-pipeline"):
                 batch_size = 1
                 if update is not None:
-                    payload, delta = self._run_update(*update, a, prepared, cfg, session)
+                    payload, delta = self._run_update(*update, key, a, cfg, session)
                 elif op == "extract" and self.config.batch_window > 0:
-                    payload, batch_size = self._batched_extract(a, prepared, cfg)
+                    payload, batch_size = self._batched_extract(key, a, cfg)
                 else:
-                    payload = self._run_solo(op, a, prepared, cfg)
+                    payload = self._run_solo(op, key, a, cfg)
             if op == "extract":
                 session.record_batch(batch_size)
                 self.metrics.histogram("serve.batch.size").observe(batch_size)
@@ -696,17 +691,16 @@ class ReproServer:
         """
         return self.device if self.device is not None else Device("serve-request")
 
-    def _run_solo(self, op, a, prepared, cfg):
+    def _run_solo(self, op, key, a, cfg):
         if op == "extract":
-            return self._seed_warm(a, cfg, extract_linear_forest(
+            return self._seed_warm(key, extract_linear_forest(
                 a, _config_from(cfg), device=self._run_device(),
-                merged_scan=cfg["merged_scan"],
-                compaction=self.config.compaction, prepared_graph=prepared,
+                merged_scan=cfg["merged_scan"], compaction=self.config.compaction,
             ))
         if op == "factor":
             res = parallel_factor(
-                prepared, _config_from(cfg, n=cfg["n"]), device=self._run_device(),
-                compaction=self.config.compaction,
+                prepare_graph(a), _config_from(cfg, n=cfg["n"]),
+                device=self._run_device(), compaction=self.config.compaction,
             )
             return _factor_payload(a, res)
         return self._run_solve(a, cfg)
@@ -740,11 +734,11 @@ class ReproServer:
             "preconditioner_coverage": float(precond.coverage),
         }
 
-    def _run_update(self, before, edits, a, prepared, cfg, session):
+    def _run_update(self, before, edits, key, a, cfg, session):
         """An update miss: ``apply_edits`` on the warm extraction of
         ``before`` if the store holds one, else a cold extract of the edited
         ``a``.  Returns the payload and the response's ``delta``."""
-        wkey = self._warm_key(before, cfg)
+        wkey = request_key("extract", before, cfg)
         with self._lock:
             warm = self._warm.get(wkey)
             if warm is not None:
@@ -752,7 +746,7 @@ class ReproServer:
         if warm is None:
             self.metrics.counter("serve.delta.cold").inc()
             session.annotate(delta="cold")
-            payload = self._run_solo("extract", a, prepared, cfg)
+            payload = self._run_solo("extract", key, a, cfg)
             return payload, {"warm": False, "stats": None}
         self.metrics.counter("serve.delta.warm").inc()
         session.annotate(delta="warm")
@@ -760,11 +754,11 @@ class ReproServer:
             warm, edits, before, _config_from(cfg), device=self._run_device(),
             compaction=self.config.compaction,
         )
-        payload = self._seed_warm(a, cfg, updated.result)
+        payload = self._seed_warm(key, updated.result)
         return payload, {"warm": True, "stats": updated.stats.to_dict()}
 
     # -- window batching of cold extract misses ----------------------------
-    def _batched_extract(self, a, prepared, cfg):
+    def _batched_extract(self, key, a, cfg):
         """Park a cold miss in the batch window; one leader runs the pack.
 
         The first miss to arrive becomes the window leader: it sleeps for
@@ -775,9 +769,7 @@ class ReproServer:
         through :func:`~repro.batch.extract_linear_forest_batch`, singleton
         groups run solo so their launch accounting matches a plain request.
         """
-        item = _BatchItem(
-            original=a, prepared=prepared, cfg=cfg, cfg_digest=config_digest(cfg)
-        )
+        item = _BatchItem(original=a, key=key, cfg=cfg)
         with self._batch_lock:
             self._batch_pending.append(item)
             leader = len(self._batch_pending) == 1
@@ -795,7 +787,7 @@ class ReproServer:
         groups: dict = {}
         for item in batch:
             groups.setdefault(
-                (item.cfg_digest, item.original.dtype.name), []
+                (config_digest(item.cfg), item.original.dtype.name), []
             ).append(item)
         for group in groups.values():
             try:
@@ -810,7 +802,7 @@ class ReproServer:
         cfg = group[0].cfg
         if len(group) == 1:
             payloads = [
-                self._run_solo("extract", group[0].original, group[0].prepared, cfg)
+                self._run_solo("extract", group[0].key, group[0].original, cfg)
             ]
         else:
             result = extract_linear_forest_batch(
@@ -821,7 +813,7 @@ class ReproServer:
             self.metrics.counter("serve.batched_runs").inc()
             # members are bit-identical to solo runs, so they seed alike
             payloads = [
-                self._seed_warm(item.original, cfg, member)
+                self._seed_warm(item.key, member)
                 for item, member in zip(group, result.members)
             ]
         for item, payload in zip(group, payloads):

@@ -7,7 +7,9 @@ arbitrary functors over arbitrary (possibly structured) types.  This
 subpackage provides:
 
 * :class:`~repro.sparse.coo.COOMatrix`, :class:`~repro.sparse.csr.CSRMatrix` —
-  minimal, validated sparse formats (no scipy dependency in the hot path).
+  minimal, validated sparse formats (no scipy dependency in the hot path),
+  and :func:`~repro.sparse.csr.matrix_digest`, the dtype-tagged content
+  digest that keys the serve cache and the tuning fingerprints.
 * :mod:`~repro.sparse.build` — graph preparation: ``A' = |A| - diag(|A|)``,
   symmetrization ``A' + A'^T``, edge-list and dense constructors.
 * :mod:`~repro.sparse.spmv` — the plain CSR SpMV used as the performance
@@ -29,7 +31,7 @@ from .build import (
     symmetrize,
 )
 from .coo import COOMatrix
-from .csr import CSRMatrix
+from .csr import CSRMatrix, matrix_digest
 from .io import read_matrix_market, write_matrix_market
 from .semiring import (
     MAX_TIMES,
@@ -63,6 +65,7 @@ __all__ = [
     "from_dense",
     "from_edges",
     "generalized_spmv",
+    "matrix_digest",
     "maximum_transversal",
     "prepare_graph",
     "proposition_spmv",

@@ -8,6 +8,7 @@ paper).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,7 +17,7 @@ import numpy as np
 from .._validation import INDEX_DTYPE, VALUE_DTYPE, require
 from ..errors import FormatError, ShapeError
 
-__all__ = ["CSRMatrix"]
+__all__ = ["CSRMatrix", "matrix_digest"]
 
 
 @dataclass(frozen=True)
@@ -251,3 +252,21 @@ class CSRMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CSRMatrix(shape={self.shape}, nnz={self.nnz})"
+
+
+def matrix_digest(a: CSRMatrix) -> str:
+    """Content digest of a CSR matrix (structure *and* weights), hex SHA-256.
+
+    Hashes the contiguous ``indptr``/``indices``/``data`` buffers, each
+    preceded by a ``name:dtype:length;`` tag.  Hashing the raw bytes alone
+    let two matrices whose concatenated buffers coincide byte-for-byte —
+    e.g. a float32 pair re-read as one float64 — share a digest; the tags
+    make every array boundary and element width part of the hash.  The row
+    count rides in ``indptr``'s length; the column count is not hashed.
+    """
+    h = hashlib.sha256()
+    for name, arr in (("indptr", a.indptr), ("indices", a.indices), ("data", a.data)):
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{name}:{arr.dtype.name}:{arr.size};".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()

@@ -20,13 +20,12 @@ what :func:`repro.core.frontier.resolve_compaction` sees when resolving the
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..sparse.csr import CSRMatrix
+from ..sparse.csr import CSRMatrix, matrix_digest
 
 __all__ = [
     "FINGERPRINT_VERSION",
@@ -59,32 +58,6 @@ def degree_histogram(graph: CSRMatrix) -> tuple[int, ...]:
     buckets[positive] = np.floor(np.log2(lengths[positive])).astype(np.int64) + 1
     hist = np.bincount(buckets)
     return tuple(int(c) for c in hist)
-
-
-def matrix_digest(graph: CSRMatrix) -> str:
-    """Short content digest of a CSR matrix (structure *and* weights).
-
-    SHA-256 over the contiguous ``indptr``/``indices``/``data`` buffers,
-    truncated to 12 hex characters.  ``prepare_graph`` is deterministic, so
-    the same input matrix always digests identically across runs.
-
-    Each buffer is preceded by a ``name:dtype:length;`` tag.  Hashing the
-    raw bytes alone (the v1 derivation) let two matrices whose concatenated
-    buffers happen to coincide byte-for-byte — e.g. a float32 pair re-read
-    as one float64 — share a digest and alias each other's tuning/result
-    cache entries; the tags make every array boundary and element width part
-    of the hash.
-    """
-    h = hashlib.sha256()
-    for name, arr in (
-        ("indptr", graph.indptr),
-        ("indices", graph.indices),
-        ("data", graph.data),
-    ):
-        a = np.ascontiguousarray(arr)
-        h.update(f"{name}:{a.dtype.name}:{a.size};".encode())
-        h.update(a.tobytes())
-    return h.hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -138,6 +111,7 @@ def fingerprint_graph(graph: CSRMatrix, *, name: str | None = None) -> GraphFing
         n=graph.n_rows,
         nnz=graph.nnz,
         degree_histogram=degree_histogram(graph),
-        digest=matrix_digest(graph),
+        # the 12-character prefix keeps every v2 key (and tuning.json) as is
+        digest=matrix_digest(graph)[:12],
         name=name,
     )

@@ -63,6 +63,40 @@ def test_simultaneous_identical_requests_share_one_pipeline_run():
     assert responses[0]["result"] == responses[1]["result"] == responses[2]["result"]
 
 
+def test_coalesced_launches_are_attributed_to_the_leader_alone(monkeypatch):
+    # per-request attribution under concurrency: the leader's report carries
+    # a solo run's launches, and each follower's carries none
+    a = aniso2(16)
+    req = {"op": "extract", "matrix": _csr_spec(a)}
+    solo = ReproServer(ServeConfig()).handle_request(dict(req))
+    solo_launches = solo["report"]["serve"]["launches"]
+    assert solo_launches > 0
+
+    server = ReproServer(ServeConfig())
+    real = server_mod.extract_linear_forest
+
+    def slow(*args, **kwargs):
+        time.sleep(0.2)  # let the identical requests park on the waiter
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(server_mod, "extract_linear_forest", slow)
+    barrier = threading.Barrier(3)
+    responses = []
+    lock = threading.Lock()
+
+    def fire():
+        barrier.wait()
+        r = server.handle_request(dict(req))
+        with lock:
+            responses.append(r)
+
+    _run_threads([fire] * 3)
+    leader, *followers = sorted(responses, key=lambda r: r["cached"])
+    assert [r["cached"] for r in (leader, *followers)] == [False, True, True]
+    assert leader["report"]["serve"]["launches"] == solo_launches
+    assert [r["report"]["serve"]["launches"] for r in followers] == [0, 0]
+
+
 def test_distinct_cold_misses_inside_the_window_share_one_set_of_launches():
     device = Device("window")
     server = ReproServer(ServeConfig(batch_window=0.25), device=device)

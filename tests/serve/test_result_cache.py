@@ -96,6 +96,18 @@ class TestPersistence:
         with pytest.raises(ConfigError):
             ResultCache.load(path)
 
+    def test_a_v1_document_starts_cold(self, tmp_path):
+        # v1 keys carried the prepared-graph fingerprint, which no request
+        # computes any more: the daemon must not load entries it cannot reach
+        path = tmp_path / "results.json"
+        key = "extract:v2:n=3:nnz=4:deg=0.2.1:w=0123456789ab:in=ba9876543210:cfg=001122334455"
+        path.write_text(json.dumps(
+            {"schema": "repro.serve/results/v1", "entries": {key: _payload("a")}}
+        ))
+        with pytest.warns(ServeWarning, match="'repro.serve/results/v1' does not match"):
+            cache = ResultCache.load_or_empty(path)
+        assert len(cache) == 0
+
     def test_load_rejects_corrupt_json(self, tmp_path):
         path = tmp_path / "results.json"
         path.write_text("{not json")

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core import extract_linear_forest
+from repro.core import pipeline as pipeline_mod
 from repro.device import Device
-from repro.errors import ConfigError
-from repro.graphs import aniso2
+from repro.errors import ConfigError, ShapeError
+from repro.graphs import aniso2, build_matrix
 from repro.serve import (
     PROTOCOL,
     ReproServer,
@@ -18,8 +19,8 @@ from repro.serve import (
     load_matrix,
     request_key,
 )
-from repro.sparse import prepare_graph, write_matrix_market
-from repro.tune import FINGERPRINT_VERSION, fingerprint_graph, matrix_digest
+from repro.serve import server as server_mod
+from repro.sparse import CSRMatrix, matrix_digest, prepare_graph, write_matrix_market
 
 
 def _csr_spec(a):
@@ -75,13 +76,11 @@ class TestCanonicalConfig:
 
 class TestRequestKey:
     def test_key_carries_op_fingerprint_and_config(self, matrix):
-        prepared = prepare_graph(matrix)
-        fp = fingerprint_graph(prepared)
+        # one content key: the op, the input digest and the config digest
         cfg = canonical_config("extract", None)
-        key = request_key("extract", fp, matrix_digest(matrix), cfg)
-        assert key.startswith(f"extract:v{FINGERPRINT_VERSION}:")
-        assert f":in={matrix_digest(matrix)}:" in key
-        assert key.endswith(f":cfg={config_digest(cfg)}")
+        assert request_key("extract", matrix, cfg) == (
+            f"extract:in={matrix_digest(matrix)}:cfg={config_digest(cfg)}"
+        )
 
     def test_originals_that_prepare_identically_do_not_alias(self, matrix):
         # preparation drops the diagonal, but the tridiagonal bands are
@@ -94,11 +93,89 @@ class TestRequestKey:
             ),
             shape=matrix.shape,
         )
-        fp = fingerprint_graph(prepare_graph(matrix))
+        assert matrix_digest(prepare_graph(shifted)) == matrix_digest(prepare_graph(matrix))
         cfg = canonical_config("extract", None)
-        k1 = request_key("extract", fp, matrix_digest(matrix), cfg)
-        k2 = request_key("extract", fp, matrix_digest(shifted), cfg)
-        assert k1 != k2
+        assert request_key("extract", shifted, cfg) != request_key("extract", matrix, cfg)
+
+    def test_a_float32_copy_keys_apart(self, matrix):
+        cfg = canonical_config("extract", None)
+        single = matrix.astype(np.float32)
+        assert request_key("extract", single, cfg) != request_key("extract", matrix, cfg)
+
+    def test_an_explicit_stored_zero_keys_apart(self, matrix):
+        # row 0 gains a stored 0.0 at the first column it lacks: the graph
+        # prepares identically, but the input (and so the key) differs
+        row = matrix.indices[: matrix.indptr[1]]
+        col = int(np.setdiff1d(np.arange(matrix.n_cols), row)[0])
+        k = int(np.searchsorted(row, col))
+        padded = CSRMatrix(
+            indptr=np.concatenate(([0], matrix.indptr[1:] + 1)),
+            indices=np.insert(matrix.indices, k, col),
+            data=np.insert(matrix.data, k, 0.0),
+            shape=matrix.shape,
+        )
+        assert matrix_digest(prepare_graph(padded)) == matrix_digest(prepare_graph(matrix))
+        cfg = canonical_config("extract", None)
+        assert request_key("extract", padded, cfg) != request_key("extract", matrix, cfg)
+
+    def test_file_csr_and_suite_specs_of_one_matrix_share_a_key(self, server, tmp_path):
+        a = build_matrix("aniso2", scale=0.25)
+        path = tmp_path / "aniso2.mtx"
+        write_matrix_market(a, path)
+        responses = [
+            server.handle_request({"op": "extract", "matrix": spec})
+            for spec in (
+                {"kind": "file", "path": str(path)},
+                _csr_spec(a),
+                {"kind": "suite", "name": "aniso2", "scale": 0.25},
+            )
+        ]
+        assert all(r["ok"] for r in responses)
+        assert len({r["key"] for r in responses}) == 1
+        assert [r["cached"] for r in responses] == [False, True, True]
+
+    def test_a_non_square_file_never_reaches_its_square_twins_entry(
+        self, server, tmp_path
+    ):
+        # the digest does not cover the column count, so a 3 x 4 file with
+        # the CSR buffers of a cached 3 x 3 matrix must be refused at load
+        entries = "1 2 1.0\n2 1 1.0\n2 3 2.0\n3 2 2.0\n"
+        header = "%%MatrixMarket matrix coordinate real general\n"
+        square, wide = tmp_path / "square.mtx", tmp_path / "wide.mtx"
+        square.write_text(header + "3 3 4\n" + entries)
+        wide.write_text(header + "3 4 4\n" + entries)
+        assert server.handle_request(
+            {"op": "extract", "matrix": {"kind": "file", "path": str(square)}}
+        )["ok"]
+        with pytest.raises(ShapeError, match="must be square"):
+            load_matrix({"kind": "file", "path": str(wide)})
+        r = server.handle_request(
+            {"op": "extract", "matrix": {"kind": "file", "path": str(wide)}}
+        )
+        assert r["ok"] is False and r["error"]["type"] == "ShapeError"
+
+
+class TestPreparation:
+    """Keys need no prepared graph: a miss prepares once, a hit never."""
+
+    @pytest.fixture
+    def prepared(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return prepare_graph(a)
+
+        for module in (server_mod, pipeline_mod):
+            monkeypatch.setattr(module, "prepare_graph", counted)
+        return calls
+
+    def test_a_hit_prepares_nothing(self, server, matrix, prepared):
+        req = {"op": "extract", "matrix": _csr_spec(matrix)}
+        assert server.handle_request(req)["cached"] is False
+        assert len(prepared) == 1
+        assert server.handle_request(req)["cached"] is True
+        assert len(prepared) == 1
 
 
 class TestLoadMatrix:

@@ -6,10 +6,12 @@ import time
 import pytest
 
 from repro.errors import ConfigError
+from repro.core import delta as delta_mod
 from repro.core.delta import EditBatch, apply_edits_to_matrix
 from repro.graphs import aniso1, aniso2
 from repro.serve import ReproServer, ServeConfig
 from repro.serve import server as server_mod
+from repro.sparse import matrix_digest, prepare_graph
 
 # a 64x64 grid keeps the invalidation ball (radius 19) of a corner edit
 # under the region cutoff, so warm updates exercise the true delta path
@@ -172,6 +174,53 @@ def test_identical_updates_coalesce_into_one_refresh(server, matrix, monkeypatch
     assert follower["delta"] is None
     assert follower["result"] == leader["result"]
     assert server.metrics.counters["serve.coalesced"].value == 1
+
+
+def test_coalesced_update_launches_are_attributed_to_the_leader_alone(
+    server, matrix, monkeypatch
+):
+    extract = {"op": "extract", "matrix": _csr_spec(matrix)}
+    request = {"op": "update", "matrix": _csr_spec(matrix), "edits": EDITS}
+    solo = ReproServer(ServeConfig())
+    solo.handle_request(dict(extract))
+    solo_launches = solo.handle_request(dict(request))["report"]["serve"]["launches"]
+    assert solo_launches > 0
+
+    server.handle_request(dict(extract))
+    real = server_mod.apply_edits
+
+    def slow(*args, **kwargs):
+        time.sleep(0.2)  # let the identical updates park on the waiter
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(server_mod, "apply_edits", slow)
+    responses = _fire_together(server, [dict(request) for _ in range(3)])
+    leader, *followers = sorted(responses, key=lambda r: r["cached"])
+    assert [r["cached"] for r in (leader, *followers)] == [False, True, True]
+    assert leader["delta"]["warm"] is True
+    assert leader["report"]["serve"]["launches"] == solo_launches
+    assert [r["report"]["serve"]["launches"] for r in followers] == [0, 0]
+    # the delta engine's ambient counters land in the leader's report only
+    assert leader["report"]["metrics"]["counters"]["delta.edits"] == len(EDITS)
+    assert all("delta.edits" not in r["report"]["metrics"]["counters"] for r in followers)
+
+
+def test_a_warm_update_prepares_the_edited_matrix_once(server, matrix, monkeypatch):
+    server.handle_request({"op": "extract", "id": 1, "matrix": _csr_spec(matrix)})
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return prepare_graph(a)
+
+    for module in (server_mod, delta_mod):
+        monkeypatch.setattr(module, "prepare_graph", counted)
+    resp = server.handle_request(
+        {"op": "update", "id": 2, "matrix": _csr_spec(matrix), "edits": EDITS}
+    )
+    assert resp["delta"]["warm"] is True
+    edited = apply_edits_to_matrix(matrix, EditBatch.from_dicts(EDITS))
+    assert [matrix_digest(a) for a in calls] == [matrix_digest(edited)]
 
 
 def test_batch_window_members_seed_the_warm_store(matrix):

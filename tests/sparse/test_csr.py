@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import FormatError, ShapeError
-from repro.sparse import CSRMatrix, from_dense
+from repro.graphs import aniso2
+from repro.sparse import CSRMatrix, from_dense, matrix_digest, prepare_graph
 
 
 def test_validation_rejects_bad_indptr():
@@ -123,3 +124,13 @@ def test_map_values_and_scale(small_csr, small_dense):
 
 def test_mean_degree(small_csr):
     assert small_csr.mean_degree == pytest.approx(small_csr.nnz / 5)
+
+
+def test_matrix_digest_is_the_full_sha256_that_tuning_fingerprints_truncate():
+    import repro.tune
+
+    assert repro.tune.matrix_digest is matrix_digest
+    graph = prepare_graph(aniso2(8))
+    digest = matrix_digest(graph)
+    assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+    assert repro.tune.fingerprint_graph(graph).digest == digest[:12]
