@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._validation import INDEX_DTYPE, VALUE_DTYPE, require
 from ..sparse.csr import CSRMatrix
-from .structures import Factor
+from .structures import NO_PARTNER, Factor, slot_hits
 
 __all__ = ["coverage", "factor_weight", "graph_weight", "identity_coverage"]
 
@@ -29,20 +30,38 @@ def graph_weight(a: CSRMatrix) -> float:
     return float(np.abs(a.data[off]).sum()) / 2.0
 
 
-def _edge_weights(a: CSRMatrix, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """|ω({u_i, v_i})| = (|a_uv| + |a_vu|) / 2 per listed edge."""
-    # one gather for both orientations: the key array over the nonzeros is
-    # built once
-    w = np.abs(a.gather(np.concatenate([u, v]), np.concatenate([v, u])))
-    return (w[: u.size] + w[u.size :]) / 2.0
+def _edge_weights(a: CSRMatrix, factor: Factor) -> np.ndarray:
+    """|ω({u, v})| = (|a_uv| + |a_vu|) / 2 per edge, in ``factor.edges()``
+    order.
+
+    Every nonzero meets the factor at its lower endpoint, one partner slot at
+    a time (:func:`~repro.core.structures.slot_hits`, the helper behind the
+    coefficient extraction's membership test): when ``v`` sits in slot ``j``
+    of ``u < v``, ``a_uv`` is the forward and ``a_vu`` the backward weight of
+    the entry ``u·n + j``, which is where :meth:`Factor.edge_entries` finds
+    the edge.
+    """
+    n_vertices, n = factor.neighbors.shape
+    require(
+        a.shape == (n_vertices, n_vertices),
+        f"factor of {n_vertices} vertices does not match a matrix of shape {a.shape}",
+    )
+    rows, cols = a.nnz_rows, a.indices
+    low, high = np.minimum(rows, cols), np.maximum(rows, cols)
+    n_entries = n_vertices * n
+    # forward weights in the first half, backward weights in the second
+    weights = np.zeros(2 * n_entries, dtype=VALUE_DTYPE)
+    for j, hit in enumerate(slot_hits(factor.slots, low, high)):
+        k = np.flatnonzero(hit)
+        backward = rows[k] > cols[k]
+        weights[low[k] * n + j + backward * n_entries] = np.abs(a.data[k])
+    entries = factor.edge_entries()
+    return (weights[entries] + weights[entries + n_entries]) / 2.0
 
 
 def factor_weight(a: CSRMatrix, factor: Factor) -> float:
     """ω_π (Eq. 3) of ``factor`` with respect to the original matrix ``A``."""
-    u, v = factor.edges()
-    if u.size == 0:
-        return 0.0
-    return float(_edge_weights(a, u, v).sum())
+    return float(_edge_weights(a, factor).sum())
 
 
 def coverage(a: CSRMatrix, factor: Factor) -> float:
@@ -58,6 +77,8 @@ def identity_coverage(a: CSRMatrix) -> float:
     total = graph_weight(a)
     if total == 0.0 or a.n_rows < 2:
         return 0.0
-    i = np.arange(a.n_rows - 1, dtype=np.int64)
-    w = _edge_weights(a, i, i + 1)
-    return float(w.sum()) / total
+    # the original order as a path factor: v's partners are v - 1 and v + 1
+    ids = np.arange(a.n_rows, dtype=INDEX_DTYPE)
+    path = np.stack([ids - 1, ids + 1], axis=1)
+    path[-1, 1] = NO_PARTNER
+    return factor_weight(a, Factor(path)) / total

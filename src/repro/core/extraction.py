@@ -5,6 +5,13 @@ With the permutation fixed, the tridiagonal system is filled from the
 thread per coefficient; each thread checks whether its edge is part of the
 linear forest and scatters the value through the permutation into one of the
 three band buffers of length N.
+
+On the host the COO view is never built: CSR's expanded row array
+(``nnz_rows``), ``indices`` and ``data`` *are* the COO triple, in the same
+order.  The forest test runs one partner-slot column at a time
+(:func:`~repro.core.structures.is_partner`), so no ``(nnz, n)`` array is
+gathered.  :func:`~repro.core.coverage.coverage` makes a pass of its own
+with the same helper (:func:`~repro.core.structures.slot_hits`).
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from ..obs import trace_span
 from ..sparse.csr import CSRMatrix
 from .partition import Placement, VertexPartition, group_attrs
 from .permutation import inverse_permutation
-from .structures import Factor
+from .structures import Factor, is_partner
 
 __all__ = ["TridiagonalSystem", "extract_tridiagonal"]
 
@@ -117,8 +124,9 @@ def extract_tridiagonal(
     dl = np.zeros(n, dtype=band_dtype)
     du = np.zeros(n, dtype=band_dtype)
     d = np.zeros(n, dtype=band_dtype)
-    # COO keeps the CSR order, so a shard's rows are the slice at indptr
-    coo = a.to_coo()
+    # the COO triple in CSR order, so a shard's rows are the slice at indptr
+    coo_rows, coo_cols, coo_vals = a.nnz_rows, a.indices, a.data
+    slots = forest.slots
     value_msg_bytes = int(np.dtype(band_dtype).itemsize) + 8  # value + position
     with trace_span(
         "extract-tridiagonal",
@@ -130,27 +138,25 @@ def extract_tridiagonal(
     ):
         for s, dev, lo, hi in placement.shards:
             e0, e1 = int(a.indptr[lo]), int(a.indptr[hi])
-            rows = coo.row[e0:e1]
-            cols = coo.col[e0:e1]
-            vals = coo.val[e0:e1]
+            rows = coo_rows[e0:e1]
+            cols = coo_cols[e0:e1]
+            vals = coo_vals[e0:e1]
             with dev.launch(
                 "extract-coefficients",
                 reads=(rows, cols, vals),
                 writes=(dl[lo:hi], du[lo:hi]),
             ):
-                on_diag = rows == cols
+                on_diag = np.flatnonzero(rows == cols)
                 p_diag = new_index[rows[on_diag]]
                 d[p_diag] = vals[on_diag]
-                off = ~on_diag
-                r2 = rows[off]
-                c2 = cols[off]
-                v2 = vals[off]
-                in_forest = forest.contains_edges(r2, c2)
-                r2, c2, v2 = r2[in_forest], c2[in_forest], v2[in_forest]
+                # a forest edge is never a diagonal entry (and one would land
+                # on neither band), so the test needs no off-diagonal split
+                in_forest = np.flatnonzero(is_partner(slots, rows, cols))
+                r2, c2, v2 = rows[in_forest], cols[in_forest], vals[in_forest]
                 p_row = new_index[r2]
                 p_col = new_index[c2]
-                sub = p_col == p_row - 1
-                sup = p_col == p_row + 1
+                sub = np.flatnonzero(p_col == p_row - 1)
+                sup = np.flatnonzero(p_col == p_row + 1)
                 dl[p_row[sub]] = v2[sub]
                 du[p_row[sup]] = v2[sup]
                 placement.halo(

@@ -46,7 +46,7 @@ from .coverage import coverage as coverage_of
 from .frontier import resolve_compaction
 from .partition import Placement, VertexPartition, group_attrs
 from .proposer import PropositionEngine
-from .structures import NO_PARTNER, Factor
+from .structures import NO_PARTNER, Factor, is_partner, slot_degrees
 
 __all__ = [
     "ParallelFactorConfig",
@@ -194,26 +194,26 @@ def _confirm_mutual(
     """Keep mutually proposed edges (Alg. 2 line 27) of the proposing rows
     ``[lo, hi)`` (default: all rows); returns #new entries.
 
-    A new partner's slot is its occurrence rank among its row's confirms, so
-    the rows of a range are written exactly as a whole-graph call writes them.
+    The proposal slots are confirmed in order, one contiguous slot column at
+    a time, and a per-row fill counter (starting at ``degree``) places each
+    new partner: its slot is its occurrence rank among its row's confirms,
+    so the rows of a range are written exactly as a whole-graph call writes
+    them.
     """
-    local = prop_cols[lo:hi]
-    valid = local != NO_PARTNER
-    v_idx, slots = np.nonzero(valid)
-    if v_idx.size == 0:
-        return 0
-    w = local[v_idx, slots]
-    if lo:
-        v_idx = v_idx + lo
-    mutual = (prop_cols[w] == v_idx[:, None]).any(axis=1)
-    new_v = v_idx[mutual]
-    new_w = w[mutual]
-    if new_v.size == 0:
-        return 0
-    # new_v is sorted (row-major nonzero); occurrence rank gives the slot
-    occ = np.arange(new_v.size, dtype=INDEX_DTYPE) - np.searchsorted(new_v, new_v, side="left")
-    confirmed[new_v, degree[new_v] + occ] = new_w
-    return int(new_v.size)
+    hi = prop_cols.shape[0] if hi is None else hi
+    columns = np.ascontiguousarray(prop_cols.T)
+    fill = np.array(degree[lo:hi], dtype=INDEX_DTYPE)
+    added = 0
+    for column in columns:
+        local = column[lo:hi]
+        v = np.flatnonzero(local != NO_PARTNER)
+        w = local[v]
+        mutual = np.flatnonzero(is_partner(columns, w, v + lo))
+        v, w = v.take(mutual), w.take(mutual)
+        confirmed[v + lo, fill[v]] = w
+        fill[v] += 1
+        added += int(v.size)
+    return added
 
 
 def parallel_factor(
@@ -391,7 +391,7 @@ def parallel_factor(
                 # shard re-derives its frontier from the updated factor — a
                 # boundary edge whose far endpoint just saturated must retire
                 # this round, exactly as on one device.
-                degree = (confirmed != NO_PARTNER).sum(axis=1).astype(INDEX_DTYPE)
+                degree = slot_degrees(confirmed)
                 n_new = 0
                 with ExitStack() as stack:
                     launched = []

@@ -46,6 +46,19 @@ Because a dead entry is ineligible under Algorithm 2's full mask anyway,
 masking instead of gathering leaves every per-row eligible rank unchanged —
 the proposals stay bit-identical across policies; only the traffic moves
 (dead lanes streamed per round vs. a one-off gather).
+
+Host layout.  No kernel reduces along the short slot axis of an ``(N, n)``
+array or gathers its rows: degrees are counted one slot column at a time
+(:func:`~repro.core.structures.slot_degrees`), the confirmed-pair test takes
+from contiguous slot columns (:func:`~repro.core.structures.is_partner`),
+and proposals land through flat ``row·n + rank`` indices.
+:meth:`PropositionEngine.propose` reads the degrees the last
+:meth:`~PropositionEngine.compact` counted.  ``compact`` re-tests the
+confirmed-pair condition only on entries whose row's degree rose since its
+previous call, because a pair confirms only in a round where its row gains a
+partner: the pair test's work follows the change, not the frontier.  None
+of this touches the meter: a launch declares the reads and writes of the
+device kernel, not of its host stand-in.
 """
 
 from __future__ import annotations
@@ -64,7 +77,7 @@ from .frontier import (
     record_decision,
     resolve_compaction,
 )
-from .structures import NO_PARTNER
+from .structures import NO_PARTNER, is_partner, slot_degrees
 
 __all__ = ["PreparedProposer", "PropositionEngine", "proposal_order"]
 
@@ -263,7 +276,8 @@ class PropositionEngine:
         rows = graph.nnz_rows[s0:s1]
         data = graph.data[s0:s1]
         order = proposal_order(rows, data)
-        rows = rows[order]
+        # row is the primary key and the rows already ascend: rows[order]
+        # would be rows again
         cols = graph.indices[s0:s1][order]
         vals = np.asarray(data, dtype=VALUE_DTYPE)[order]
         # self loops are permanently ineligible: retire them up front
@@ -275,6 +289,9 @@ class PropositionEngine:
         self._vals = vals
         # live mask over the buffers; None means "clean" (everything live)
         self._live: np.ndarray | None = None
+        # the rows' degrees at the last compact: a fresh engine is in sync
+        # with an all-empty factor
+        self._degree = np.zeros(hi - lo, dtype=INDEX_DTYPE)
         self._n_live = int(rows.size)
         self._recompute_segments()
 
@@ -328,18 +345,18 @@ class PropositionEngine:
         restricted to the engine's rows: the arrays have one row per vertex
         of ``[lo, hi)``.  Only the charge mask is recomputed: the frontier
         invariant guarantees every remaining edge has two unsaturated
-        endpoints and is not yet confirmed.
+        endpoints and is not yet confirmed.  The capacities come from the
+        degrees :meth:`compact` counted, so ``confirmed`` must not have
+        changed since the last :meth:`compact`.
         """
         n = self.n
         n_vertices = self._n_vertices
         if confirmed.shape != (n_vertices, n):
             raise ShapeError(f"confirmed must have shape {(n_vertices, n)}")
         rows, cols, vals = self._rows, self._cols, self._vals
-        rows_local = self._rows_local
         n_local = self.hi - self.lo
-        degree = (confirmed[self.lo : self.hi] != NO_PARTNER).sum(axis=1).astype(
-            INDEX_DTYPE
-        )
+        # the contract with compact() makes its degree snapshot current
+        degree = self._degree
         capacity = n - degree
 
         # Under a deferred compaction the buffers carry dead entries; they
@@ -347,22 +364,32 @@ class PropositionEngine:
         # live entries unchanged — bit-identical to the compacted round.
         if charges is None:
             eligible = (
-                np.ones(rows.size, dtype=bool)
-                if self._live is None
-                else self._live.copy()
+                np.ones(rows.size, dtype=bool) if self._live is None else self._live
             )
         else:
             eligible = charges[rows] != charges[cols]
             if self._live is not None:
                 eligible &= self._live
-
-        rank = _segmented_rank(
-            rows_local, eligible, self._row_starts, self._row_counts, n_local
-        )
-        selected = eligible & (rank < capacity[rows_local])
-        prop_cols, prop_vals, counts = _scatter_proposals(
-            rows_local, cols, vals, selected, rank, n_local, n
-        )
+        # seen[p]: eligible entries before position p.  An entry is proposed
+        # when fewer than `capacity` eligible entries of its row precede it,
+        # i.e. seen[p] < seen[row start] + capacity.
+        seen = np.empty(rows.size + 1, dtype=INDEX_DTYPE)
+        seen[0] = 0
+        np.cumsum(eligible, out=seen[1:])
+        first = seen[self._row_starts]
+        rows_local = self._rows_local
+        sel = np.flatnonzero(eligible & (seen[:-1] < (first + capacity)[rows_local]))
+        sel_rows = rows_local[sel]
+        rank = seen[sel] - first[sel_rows]
+        counts = np.bincount(sel_rows, minlength=n_local).astype(INDEX_DTYPE)
+        # the selected entries land through their flat row·n + rank index
+        flat = sel_rows * n + rank
+        prop_cols = np.full(n_local * n, NO_PARTNER, dtype=INDEX_DTYPE)
+        prop_cols[flat] = cols[sel]
+        prop_cols = prop_cols.reshape(n_local, n)
+        prop_vals = np.zeros(n_local * n, dtype=VALUE_DTYPE)
+        prop_vals[flat] = vals[sel]
+        prop_vals = prop_vals.reshape(n_local, n)
         if launch is not None:
             # The pre-sorted frontier makes the selection purely rank-based:
             # the kernel never compares values, so the value array is *not*
@@ -401,16 +428,26 @@ class PropositionEngine:
         n = self.n
         if confirmed.shape != (self._n_vertices, n):
             raise ShapeError(f"confirmed must have shape {(self._n_vertices, n)}")
+        degree = slot_degrees(confirmed)
+        local_degree = degree[self.lo : self.hi]
+        moved = local_degree != self._degree
+        self._degree = local_degree
         rows, cols = self._rows, self._cols
         if rows.size == 0:
             return 0
-        degree = (confirmed != NO_PARTNER).sum(axis=1).astype(INDEX_DTYPE)
-        keep = (degree[rows] < n) & (degree[cols] < n)
-        keep &= ~(confirmed[rows] == cols[:, None]).any(axis=1)
-        # the retirement conditions are monotone, so the fresh keep mask
-        # subsumes the previous live mask — intersecting is belt-and-braces
+        unsaturated = degree < n
+        keep = unsaturated[rows] & unsaturated[cols]
+        # A pair confirms only in a round where its row gains a partner, so
+        # the pair test re-runs only on surviving entries whose row's degree
+        # moved since the last compact; every other confirmed pair already
+        # died there, and the live mask below carries that verdict.
+        test = np.flatnonzero(keep & moved[self._rows_local])
+        if test.size:
+            slots = np.ascontiguousarray(confirmed[self.lo : self.hi].T)
+            paired = is_partner(slots, self._rows_local[test], cols[test])
+            keep[test.take(np.flatnonzero(paired))] = False
         live = keep if self._live is None else (keep & self._live)
-        n_live = int(live.sum())
+        n_live = int(np.count_nonzero(live))
         newly_dead = self._n_live - n_live
         dead = int(rows.size) - n_live
         if dead == 0:
@@ -432,9 +469,10 @@ class PropositionEngine:
                 # the gather reads the old frontier triple (the keep mask is
                 # computed in-kernel), the scatter writes the compacted one
                 launch.reads(rows, cols, self._vals, confirmed[self.lo : self.hi])
-            self._rows = rows[live]
-            self._cols = cols[live]
-            self._vals = self._vals[live]
+            survivors = np.flatnonzero(live)
+            self._rows = rows.take(survivors)
+            self._cols = cols.take(survivors)
+            self._vals = self._vals.take(survivors)
             self._live = None
             self.gathered_elements += 3 * n_live
             self._recompute_segments()

@@ -8,6 +8,12 @@ partners (condition 1), and membership is mutual: ``v ∈ π(w) ⇔ w ∈ π(v)`
 The storage is the GPU layout of the paper: an ``(N, n)`` array of partner
 ids with ``-1`` padding ("the confirmed edges vector ``x`` of length n·N",
 Section 4.1).  Valid entries are compacted to the front of each row.
+
+On the host, per-vertex questions are asked one slot column at a time:
+:attr:`Factor.slots` holds the ``n`` columns contiguously, so a degree or a
+membership test is ``n`` one-dimensional passes instead of a reduction or a
+row gather along the short slot axis (:func:`slot_degrees`,
+:func:`slot_hits`).
 """
 
 from __future__ import annotations
@@ -20,10 +26,41 @@ import numpy as np
 from .._validation import INDEX_DTYPE, require
 from ..errors import FactorError, ShapeError
 
-__all__ = ["Factor", "compact_rows"]
+__all__ = ["Factor", "compact_rows", "is_partner", "slot_degrees", "slot_hits"]
 
 #: Padding value for empty partner slots.
 NO_PARTNER = -1
+
+
+def slot_degrees(neighbors: np.ndarray) -> np.ndarray:
+    """|π(v)| of every row of an ``(N, n)`` partner array, counted one slot
+    column at a time."""
+    filled = neighbors != NO_PARTNER
+    degree = np.zeros(neighbors.shape[0], dtype=INDEX_DTYPE)
+    for j in range(neighbors.shape[1]):
+        degree += filled[:, j]
+    return degree
+
+
+def slot_hits(slots: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
+    """One membership mask per partner slot: ``hits[j][i]`` tells whether
+    ``v[i]`` is the ``j``-th partner of ``u[i]``.
+
+    ``slots`` is the ``(n, N)`` slot-column layout (:attr:`Factor.slots`), so
+    each test is a one-dimensional ``take``.  Every ``u`` must lie in
+    ``[0, N)`` and no ``v`` may be negative, or the ``-1`` padding would match;
+    :meth:`Factor.contains_edges` masks arbitrary ids first.
+    """
+    return [column.take(u) == v for column in slots]
+
+
+def is_partner(slots: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v[i] ∈ π(u[i])``: the union of :func:`slot_hits`, with its
+    preconditions."""
+    found = np.zeros(np.shape(u), dtype=bool)
+    for hit in slot_hits(slots, u, v):
+        found |= hit
+    return found
 
 
 def compact_rows(neighbors: np.ndarray) -> np.ndarray:
@@ -64,7 +101,13 @@ class Factor:
     @cached_property
     def degrees(self) -> np.ndarray:
         """|π(v)| for every vertex."""
-        return (self.neighbors != NO_PARTNER).sum(axis=1).astype(INDEX_DTYPE)
+        return slot_degrees(self.neighbors)
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """The ``(n, N)`` slot columns: ``slots[j]`` holds every vertex's
+        ``j``-th partner, contiguously."""
+        return np.ascontiguousarray(self.neighbors.T)
 
     @property
     def size(self) -> int:
@@ -77,17 +120,27 @@ class Factor:
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Unique undirected edges as ``(u, v)`` arrays with ``u < v``."""
+        entries = self.edge_entries()
+        return entries // self.n, self.neighbors.ravel()[entries]
+
+    def edge_entries(self) -> np.ndarray:
+        """Flat index ``u·n + j`` of the slot holding each edge of
+        :meth:`edges`, in the same order."""
         n_vertices, n = self.neighbors.shape
         rows = np.repeat(np.arange(n_vertices, dtype=INDEX_DTYPE), n)
         cols = self.neighbors.ravel()
-        keep = (cols != NO_PARTNER) & (rows < cols)
-        return rows[keep], cols[keep]
+        return np.flatnonzero((cols != NO_PARTNER) & (rows < cols))
 
     def contains_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Boolean mask: is ``{u[i], v[i]}`` an edge of the factor?"""
+        """Boolean mask: is ``{u[i], v[i]}`` an edge of the factor?  An id
+        outside ``[0, N)``, on either side, is no vertex and answers ``False``."""
         u = np.asarray(u, dtype=INDEX_DTYPE)
         v = np.asarray(v, dtype=INDEX_DTYPE)
-        return (self.neighbors[u] == v[..., None]).any(axis=-1)
+        n_vertices = self.n_vertices
+        inside = (u >= 0) & (u < n_vertices) & (v >= 0) & (v < n_vertices)
+        if not n_vertices:
+            return inside
+        return inside & is_partner(self.slots, np.where(inside, u, 0), v)
 
     # -- derived factors -----------------------------------------------------
     def remove_edges(self, u: np.ndarray, v: np.ndarray) -> "Factor":

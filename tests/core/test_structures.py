@@ -52,6 +52,16 @@ def test_contains_edges():
     np.testing.assert_array_equal(mask, [True, True, False, True])
 
 
+def test_contains_edges_answers_false_outside_the_vertex_range():
+    """The ``-1`` padding is no partner, and an id outside ``[0, N)`` on
+    either side is no vertex (row ``-1`` is not the last vertex)."""
+    f = Factor.from_edge_list(4, 2, [0, 3], [1, 0])
+    u = [2, 0, -1, 4, 0, -1, 5]
+    v = [-1, -1, 0, 0, 4, -1, -1]
+    np.testing.assert_array_equal(f.contains_edges(u, v), [False] * len(u))
+    np.testing.assert_array_equal(f.contains_edges([3, 0], [0, 3]), [True, True])
+
+
 def test_remove_edges_both_directions():
     f = Factor.from_edge_list(4, 2, [0, 1, 2], [1, 2, 3])
     g = f.remove_edges(np.array([1]), np.array([2]))
