@@ -34,8 +34,16 @@ re-runs the whole pipeline.  :func:`apply_edits` exploits the locality:
    ids/positions (the paper's path-id convention — minimum end id, position
    1 at that end — is intrinsic to a component, so untouched components keep
    their ids).  Band coefficients are spliced the same way: untouched paths
-   copy their old band values to their new offsets, recomputed paths gather
-   from the edited matrix.
+   copy their old band values to their new offsets, recomputed paths read
+   their rows of the edited matrix.
+
+The host work follows the edit, not the graph.  Apart from the two CSR
+copies it returns, :func:`apply_edits` reads only the ball, the re-walked
+components or the forest: the prepared graph is spliced from the previous
+one when ``A'`` is symmetric (:func:`_edited_graph`), the ball search stops
+at the fallback cutoff, edited entries are found by a binary search inside
+their rows (:meth:`~repro.sparse.csr.CSRMatrix.find`), and the coverage is
+read from the new bands.
 
 The recompute runs on a scratch device and is metered on the caller's device
 as four fused ``delta.*`` launches (a region thousands of times smaller than
@@ -55,6 +63,8 @@ protocol has no update path yet.  See ``docs/INCREMENTAL.md``.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -66,9 +76,9 @@ from ..device.device import Device, DeviceGroup
 from ..device.profiler import TimingBreakdown
 from ..errors import ConfigError, ShapeError
 from ..obs import Tracer, current_metrics, trace_span
-from ..sparse.build import prepare_graph
+from ..sparse.build import is_prepared_symmetric, prepare_graph
 from ..sparse.csr import CSRMatrix
-from .coverage import coverage as coverage_of
+from .coverage import band_coverage
 from .cycles import BrokenCycles
 from .extraction import TridiagonalSystem
 from .factor import ParallelFactorConfig, ParallelFactorResult, parallel_factor
@@ -104,6 +114,47 @@ class DeltaFallbackWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 
+def _refuse_first(bad: np.ndarray, why) -> None:
+    """Raise a :class:`ConfigError` naming the first edit flagged in ``bad``."""
+    if bool(bad.any()):
+        i = int(np.flatnonzero(bad)[0])
+        raise ConfigError(f"edit #{i}: {why(i)}")
+
+
+def _is_integral(x) -> bool:
+    """A real, non-boolean number with an integer value that fits an int64."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    if not (isinstance(x, numbers.Integral) or (math.isfinite(x) and float(x).is_integer())):
+        return False
+    return -(2**63) <= x < 2**63
+
+
+def _is_real(x) -> bool:
+    """A real, non-boolean number (strings and booleans are not weights)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_flag(x) -> bool:
+    """A Python or NumPy boolean (``0``, ``1`` and ``"false"`` are not)."""
+    return isinstance(x, (bool, np.bool_))
+
+
+def _checked(values, name: str, ok, what: str, dtype) -> np.ndarray:
+    """``values`` as a ``dtype`` array.  An element that ``ok`` refuses is
+    named in a :class:`ConfigError`, never converted (``1.7`` would
+    truncate to vertex 1, ``"false"`` would read as a delete).  Elements
+    are checked as given: a list is not first made one array, which would
+    turn the ``True`` of ``[0, True]`` into ``1``."""
+    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    items = arr.ravel().tolist()
+    _refuse_first(
+        np.array([not ok(x) for x in items], dtype=bool),
+        lambda i: f"{name} = {items[i]!r} is not {what}",
+    )
+    return np.ascontiguousarray(arr, dtype=dtype)
+
+
 @dataclass(frozen=True)
 class EditBatch:
     """A batch of undirected edge edits against a weighted graph.
@@ -126,10 +177,10 @@ class EditBatch:
     delete: np.ndarray
 
     def __post_init__(self) -> None:
-        u = np.ascontiguousarray(self.u, dtype=INDEX_DTYPE)
-        v = np.ascontiguousarray(self.v, dtype=INDEX_DTYPE)
-        w = np.ascontiguousarray(self.w, dtype=np.float64)
-        delete = np.ascontiguousarray(self.delete, dtype=bool)
+        u = _checked(self.u, "u", _is_integral, "an integer vertex id", INDEX_DTYPE)
+        v = _checked(self.v, "v", _is_integral, "an integer vertex id", INDEX_DTYPE)
+        w = _checked(self.w, "w", _is_real, "a number", np.float64)
+        delete = _checked(self.delete, "delete", _is_flag, "a boolean", bool)
         require(
             u.ndim == 1 and u.shape == v.shape == w.shape == delete.shape,
             "u, v, w, delete must be equal-length 1-D arrays",
@@ -143,15 +194,12 @@ class EditBatch:
         )
         live = ~delete
         if bool(live.any()):
-            require(
-                bool(np.isfinite(w[live]).all()),
-                "edit weights must be finite",
-                ConfigError,
+            _refuse_first(
+                live & ~np.isfinite(w), lambda i: f"weight {float(w[i])} is not finite"
             )
-            require(
-                bool((w[live] != 0.0).all()),
-                "weight 0 would drop the entry; use a delete edit instead",
-                ConfigError,
+            _refuse_first(
+                live & (w == 0.0),
+                lambda i: "weight 0 would drop the entry; use a delete edit instead",
             )
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
@@ -197,23 +245,24 @@ class EditBatch:
             unknown = set(e) - {"u", "v", "w", "delete"}
             if unknown:
                 raise ConfigError(f"edit #{i} has unknown keys {sorted(unknown)}")
-            try:
-                u.append(int(e["u"]))
-                v.append(int(e["v"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"edit #{i} needs integer 'u' and 'v'") from exc
-            if e.get("delete", False):
+            if not (_is_integral(e.get("u")) and _is_integral(e.get("v"))):
+                raise ConfigError(f"edit #{i} needs integer 'u' and 'v'")
+            u.append(int(e["u"]))
+            v.append(int(e["v"]))
+            flag = e.get("delete", False)
+            if not isinstance(flag, bool):
+                raise ConfigError(f"edit #{i} has a non-boolean 'delete' {flag!r}")
+            if flag:
                 if "w" in e:
                     raise ConfigError(f"edit #{i} sets both 'w' and 'delete'")
                 delete.append(True)
                 w.append(0.0)
             else:
-                try:
-                    w.append(float(e["w"]))
-                except (KeyError, TypeError, ValueError) as exc:
+                if not _is_real(e.get("w")):
                     raise ConfigError(
                         f"edit #{i} needs a numeric 'w' (or 'delete': true)"
-                    ) from exc
+                    )
+                w.append(float(e["w"]))
                 delete.append(False)
         return cls(
             u=np.array(u, dtype=INDEX_DTYPE),
@@ -240,46 +289,64 @@ def apply_edits_to_matrix(a: CSRMatrix, edits: EditBatch) -> CSRMatrix:
 
     Every edit replaces the symmetric pair ``(u, v)`` and ``(v, u)`` of the
     original matrix (both directions, so a pattern-symmetric input stays
-    pattern-symmetric); deletes drop both entries.  This is a host-side
-    assembly step, not a kernel: the from-scratch comparison run receives
-    exactly this matrix.
+    pattern-symmetric); deletes drop both entries.  A set weight must stay
+    finite and nonzero in the matrix dtype (``1e39`` or ``1e-50`` is refused
+    on a float32 matrix).  This is a host-side assembly step, not a kernel:
+    the from-scratch comparison run receives exactly this matrix.
     """
+    if len(edits) == 0 and a.n_rows == a.n_cols:
+        return a
+    return _splice(a, *_edit_entries(a, edits))
+
+
+def _edit_entries(
+    a: CSRMatrix, edits: EditBatch
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The batch as entries of ``a``: rows and columns of both directions of
+    every edited pair in CSR order (the last edit of a pair wins), which of
+    them are set, and the set values in ``a``'s dtype."""
     if a.n_rows != a.n_cols:
         raise ShapeError("edit batches are defined on square adjacency matrices")
-    if len(edits) == 0:
-        return a
     n = a.n_rows
     if int(edits.touched[-1]) >= n:
         raise ConfigError(
             f"edit endpoint {int(edits.touched[-1])} out of range for a {n}-vertex graph"
         )
+    dtype = a.data.dtype
+    with np.errstate(over="ignore"):
+        cast = edits.w.astype(dtype)
+    _refuse_first(
+        ~edits.delete & ~(np.isfinite(cast) & (cast != 0)),
+        lambda i: f"weight {float(edits.w[i])} is not finite and nonzero in {dtype.name}",
+    )
     # later edits win: keep the last entry per unordered pair
     lo = np.minimum(edits.u, edits.v)
     hi = np.maximum(edits.u, edits.v)
-    pair_keys = lo * n + hi
-    _, last_in_reversed = np.unique(pair_keys[::-1], return_index=True)
+    _, last_in_reversed = np.unique((lo * n + hi)[::-1], return_index=True)
     keep = len(edits) - 1 - last_in_reversed
-    lo, hi, w, delete = lo[keep], hi[keep], edits.w[keep], edits.delete[keep]
+    lo, hi, cast, delete = lo[keep], hi[keep], cast[keep], edits.delete[keep]
 
     # both directions of every edited pair, in CSR (row, col) key order
     rows = np.concatenate([lo, hi])
     cols = np.concatenate([hi, lo])
-    edit_keys = rows * n + cols
-    order = np.argsort(edit_keys)
-    rows, cols, edit_keys = rows[order], cols[order], edit_keys[order]
+    order = np.argsort(rows * n + cols)
+    rows, cols = rows[order], cols[order]
     sets = ~np.concatenate([delete, delete])[order]
-    vals = np.concatenate([w, w])[order][sets].astype(a.data.dtype)
+    return rows, cols, sets, np.concatenate([cast, cast])[order][sets]
 
-    # splice: drop every stored edited entry, then insert the set ones at
-    # their sorted positions among the survivors
-    entry_keys = a.nnz_rows * n + a.indices
-    pos = np.searchsorted(entry_keys, edit_keys)
-    stored = pos < a.nnz
-    stored[stored] = entry_keys[pos[stored]] == edit_keys[stored]
+
+def _splice(
+    m: CSRMatrix, rows: np.ndarray, cols: np.ndarray, sets: np.ndarray, vals: np.ndarray
+) -> CSRMatrix:
+    """``m`` with the entries ``(rows, cols)`` (sorted, unique) dropped and
+    the ``sets`` ones inserted again with ``vals``, at their sorted positions
+    among the survivors."""
+    n = m.n_rows
+    pos, stored = m.find(rows, cols)
     drop = pos[stored]
     at = pos[sets] - np.searchsorted(drop, pos[sets])
     counts = (
-        a.row_lengths
+        m.row_lengths
         - np.bincount(rows[stored], minlength=n)
         + np.bincount(rows[sets], minlength=n)
     )
@@ -287,10 +354,23 @@ def apply_edits_to_matrix(a: CSRMatrix, edits: EditBatch) -> CSRMatrix:
     np.cumsum(counts, out=indptr[1:])
     return CSRMatrix(
         indptr=indptr,
-        indices=np.insert(np.delete(a.indices, drop), at, cols[sets]),
-        data=np.insert(np.delete(a.data, drop), at, vals),
-        shape=a.shape,
+        indices=np.insert(np.delete(m.indices, drop), at, cols[sets]),
+        data=np.insert(np.delete(m.data, drop), at, vals),
+        shape=m.shape,
     )
+
+
+def _edited_graph(
+    previous: CSRMatrix, a: CSRMatrix, a_new: CSRMatrix, entries: tuple
+) -> CSRMatrix:
+    """``prepare_graph(a_new)``.  When ``previous`` took the symmetric
+    branch of ``prepare_graph(a)``, ``A'`` was symmetric and the symmetric
+    edits keep it so: splicing the edits' ``|w|`` into ``previous`` gives
+    the same arrays without a full preparation."""
+    if not is_prepared_symmetric(previous, a):
+        return prepare_graph(a_new)
+    rows, cols, sets, vals = entries
+    return _splice(previous, rows, cols, sets, np.abs(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -311,26 +391,46 @@ def invalidation_radius(config: ParallelFactorConfig) -> int:
     return 2 * int(config.max_iterations) - 1
 
 
-def _ball(graph: CSRMatrix, seeds: np.ndarray, radius: int) -> np.ndarray:
-    """Hop distance from the seed set, clipped at ``radius + 1``.
+def _row_entries(m: CSRMatrix, rows: np.ndarray) -> np.ndarray:
+    """Flat positions of the entries of ``rows``, row after row."""
+    starts = m.indptr[rows]
+    lengths = m.indptr[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
 
-    Distances are measured on the *edited* prepared graph; this equals the
-    distance in the union of the old and new graphs because every old-only
-    (deleted) edge has both endpoints in the seed set, so crossing one never
-    shortens a path from the set.
+
+def _ball(
+    graph: CSRMatrix, seeds: np.ndarray, radius: int, limit: float
+) -> tuple[list[np.ndarray], int]:
+    """The vertices within ``radius`` hops of the seed set, level by level
+    (level 0 holds the seeds), and the number of adjacency entries read.
+
+    Only frontier rows are read, and the search stops expanding as soon as
+    it holds more than ``limit`` vertices: the full ball would be larger
+    still, so the caller's fallback decision is the same.  Distances are
+    measured on the *edited* prepared graph; this equals the distance in the
+    union of the old and new graphs because every old-only (deleted) edge
+    has both endpoints in the seed set, so crossing one never shortens a
+    path from the set.
     """
-    dist = np.full(graph.n_rows, radius + 1, dtype=INDEX_DTYPE)
+    seen = np.zeros(graph.n_rows, dtype=bool)
     frontier = np.unique(seeds)
-    dist[frontier] = 0
-    for level in range(1, radius + 1):
-        if frontier.size == 0:
+    seen[frontier] = True
+    levels = [frontier]
+    held = frontier.size
+    read = 0
+    for _ in range(radius):
+        if frontier.size == 0 or held > limit:
             break
-        in_frontier = np.zeros(graph.n_rows, dtype=bool)
-        in_frontier[frontier] = True
-        neighbours = graph.indices[np.repeat(in_frontier, graph.row_lengths)]
-        frontier = np.unique(neighbours[dist[neighbours] > level])
-        dist[frontier] = level
-    return dist
+        entries = _row_entries(graph, frontier)
+        read += entries.size
+        reached = graph.indices[entries]
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
+        levels.append(frontier)
+        held += frontier.size
+    return levels, read
 
 
 def _induced_subgraph(
@@ -339,20 +439,22 @@ def _induced_subgraph(
     """Induced subgraph on ``members`` (sorted global ids) with monotone
     relabelling — row order and within-row column order are preserved, so the
     proposition engine sees its rows exactly as it would in the full graph.
-    Returns the subgraph and the global→local id map (−1 outside)."""
+    Reads only the member rows.  Returns the subgraph and the global→local
+    id map (−1 outside)."""
     local = np.full(graph.n_rows, -1, dtype=INDEX_DTYPE)
     local[members] = np.arange(members.size, dtype=INDEX_DTYPE)
-    member_mask = np.zeros(graph.n_rows, dtype=bool)
-    member_mask[members] = True
-    take = np.flatnonzero(np.repeat(member_mask, graph.row_lengths))
-    take = take[member_mask[graph.indices[take]]]
-    rows_local = local[graph.nnz_rows[take]]
+    take = _row_entries(graph, members)
+    cols = local[graph.indices[take]]
+    inside = cols >= 0
+    rows_local = np.repeat(
+        np.arange(members.size, dtype=INDEX_DTYPE), graph.row_lengths[members]
+    )[inside]
     indptr = np.zeros(members.size + 1, dtype=INDEX_DTYPE)
     np.cumsum(np.bincount(rows_local, minlength=members.size), out=indptr[1:])
     sub = CSRMatrix(
         indptr=indptr,
-        indices=local[graph.indices[take]],
-        data=graph.data[take],
+        indices=cols[inside],
+        data=graph.data[take[inside]],
         shape=(int(members.size), int(members.size)),
     )
     return sub, local
@@ -363,46 +465,45 @@ def _induced_subgraph(
 # ---------------------------------------------------------------------------
 
 
-def _walk_component(neighbors: np.ndarray, start: int) -> tuple[list, bool]:
-    """Vertices of ``start``'s component in walk order, and whether it is a
-    cycle.  For a path the order runs end-to-end; for a cycle, once around
-    from ``start``."""
-    first = int(neighbors[start, 0])
-    if first == NO_PARTNER:
-        return [start], False
-    order = [start]
-    prev, cur = start, first
-    while cur != start:
-        order.append(cur)
-        a, b = int(neighbors[cur, 0]), int(neighbors[cur, 1])
-        nxt = b if a == prev else a
-        if nxt == NO_PARTNER:
-            break
-        prev, cur = cur, nxt
-    if cur == start:
-        return order, True
-    # reached an end; extend the other way from `start` to the far end
-    back = []
-    prev, cur = start, int(neighbors[start, 1])
-    while cur != NO_PARTNER:
-        back.append(cur)
-        a, b = int(neighbors[cur, 0]), int(neighbors[cur, 1])
-        cur, prev = (b if a == prev else a), cur
-    back.reverse()
-    return back + order, False
+def _walk_components(left: list, right: list) -> tuple[list, list, list]:
+    """Walk every component of a partner list pair once.
 
-
-def _weakest_cycle_edge(order: list, graph: CSRMatrix) -> tuple[int, int, int]:
-    """Index (in cycle order) and endpoints of the cycle's weakest edge —
-    the lexicographic minimum of the :class:`~repro.core.scan.MinEdgeOperator`
-    triple (|weight|, min endpoint id, max endpoint id)."""
-    arr = np.asarray(order, dtype=INDEX_DTYPE)
-    nxt = np.roll(arr, -1)
-    w = np.abs(graph.gather(arr, nxt))
-    lo = np.minimum(arr, nxt)
-    hi = np.maximum(arr, nxt)
-    best = int(np.lexsort((hi, lo, w))[0])
-    return best, int(lo[best]), int(hi[best])
+    ``left[v]``/``right[v]`` are ``v``'s partners in plain Python ints
+    (``-1`` for none; rows are compacted, so no ``right`` without a
+    ``left``).  Returns the vertices of all components, concatenated in walk
+    order, each component's length and whether it is a cycle: a path runs
+    end to end, a cycle once around from its smallest vertex.
+    """
+    visited = bytearray(len(left))
+    flat: list = []
+    lengths: list = []
+    cycles: list = []
+    for start in range(len(left)):
+        if visited[start]:
+            continue
+        order = [start]
+        prev, cur = start, left[start]
+        while cur != NO_PARTNER and cur != start:
+            order.append(cur)
+            nxt = left[cur]
+            prev, cur = cur, (right[cur] if nxt == prev else nxt)
+        is_cycle = cur == start
+        if not is_cycle:
+            # reached an end; extend the other way from `start`
+            back = []
+            prev, cur = start, right[start]
+            while cur != NO_PARTNER:
+                back.append(cur)
+                nxt = left[cur]
+                prev, cur = cur, (right[cur] if nxt == prev else nxt)
+            back.reverse()
+            order = back + order
+        for v in order:
+            visited[v] = 1
+        flat += order
+        lengths.append(len(order))
+        cycles.append(is_cycle)
+    return flat, lengths, cycles
 
 
 def _rescan_region(
@@ -414,50 +515,70 @@ def _rescan_region(
     """Recompute path ids/positions/cycles for the affected components.
 
     ``region`` is a boolean vertex mask closed under components of
-    ``raw_factor`` (no factor edge leaves it).  Returns the new per-vertex
-    ``path_id``/``position``/``cycle_mask`` arrays (previous values outside
-    the region), the full removed-edge pair arrays, and the number of
-    re-walked components.
+    ``raw_factor`` (no factor edge leaves it).  Each component is walked
+    once; every cycle then loses its weakest edge — the lexicographic
+    minimum of the :class:`~repro.core.scan.MinEdgeOperator` triple
+    (|weight|, min endpoint id, max endpoint id), with the weights of all
+    cycles read in one row-local lookup — and becomes the path between that
+    edge's endpoints.  Position 1 sits at a path's smaller end id, which is
+    also its id.  Returns the new per-vertex ``path_id``/``position``/
+    ``cycle_mask`` arrays (previous values outside the region), the full
+    removed-edge pair arrays, and the number of re-walked components.
     """
-    neighbors = raw_factor.neighbors
+    ids = np.flatnonzero(region)
+    local = np.full(region.size, NO_PARTNER, dtype=INDEX_DTYPE)
+    local[ids] = np.arange(ids.size, dtype=INDEX_DTYPE)
+    partners = raw_factor.neighbors[ids]
+    partners = np.where(partners == NO_PARTNER, NO_PARTNER, local[partners])
+    flat, lengths, cycles = _walk_components(
+        partners[:, 0].tolist(), partners[:, 1].tolist()
+    )
+    vertex = ids[np.asarray(flat, dtype=INDEX_DTYPE)]
+    lengths = np.asarray(lengths, dtype=INDEX_DTYPE)
+    is_cycle = np.asarray(cycles, dtype=bool)
+    comp = np.repeat(np.arange(lengths.size, dtype=INDEX_DTYPE), lengths)
+    first = np.cumsum(lengths) - lengths
+    offset = np.arange(vertex.size, dtype=INDEX_DTYPE) - first[comp]
+    size = lengths[comp]
+
+    # the weakest edge of every cycle: edge i joins offsets i and i + 1
+    cyc = np.flatnonzero(is_cycle[comp])
+    u = vertex[cyc]
+    v = vertex[np.where(offset[cyc] + 1 == size[cyc], first[comp[cyc]], cyc + 1)]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo, np.abs(graph.gather(u, v)), comp[cyc]))
+    weakest = order[np.flatnonzero(np.diff(comp[cyc][order], prepend=-1))]
+    # a cycle becomes the path that starts just past its weakest edge
+    shift = np.zeros(lengths.size, dtype=INDEX_DTYPE)
+    shift[comp[cyc[weakest]]] = offset[cyc[weakest]] + 1
+    offset = (offset - shift[comp]) % size
+    head = np.empty(lengths.size, dtype=INDEX_DTYPE)
+    tail = np.empty(lengths.size, dtype=INDEX_DTYPE)
+    head[comp[offset == 0]] = vertex[offset == 0]
+    tail[comp[offset == size - 1]] = vertex[offset == size - 1]
+    offset = np.where((head > tail)[comp], size - 1 - offset, offset)
+
     path_id = previous.paths.path_id.copy()
     position = previous.paths.position.copy()
     cycle_mask = previous.broken.cycle_mask.copy()
+    path_id[vertex] = np.minimum(head, tail)[comp]
+    position[vertex] = offset + 1
+    cycle_mask[vertex] = is_cycle[comp]
 
     # removed pairs of untouched cycles survive; affected ones are re-derived
     old_u, old_v = previous.broken.removed_u, previous.broken.removed_v
-    kept = ~region[old_u] if old_u.size else np.empty(0, dtype=bool)
-    pairs = list(zip(old_u[kept].tolist(), old_v[kept].tolist()))
-
-    visited = ~region
-    visited = visited.copy()
-    n_components = 0
-    for seed in np.flatnonzero(region):
-        seed = int(seed)
-        if visited[seed]:
-            continue
-        order, is_cycle = _walk_component(neighbors, seed)
-        n_components += 1
-        if is_cycle:
-            cut, lo, hi = _weakest_cycle_edge(order, graph)
-            pairs.append((lo, hi))
-            # the path runs from one endpoint of the removed edge to the other
-            order = order[cut + 1 :] + order[: cut + 1]
-        arr = np.asarray(order, dtype=INDEX_DTYPE)
-        visited[arr] = True
-        cycle_mask[arr] = is_cycle
-        if int(arr[0]) > int(arr[-1]):
-            arr = arr[::-1]  # position 1 sits at the smaller end id
-        path_id[arr] = arr[0]
-        position[arr] = np.arange(1, arr.size + 1, dtype=INDEX_DTYPE)
-
-    if pairs:
-        pair_arr = np.unique(np.asarray(pairs, dtype=INDEX_DTYPE), axis=0)
-        removed_u, removed_v = pair_arr[:, 0], pair_arr[:, 1]
-    else:
-        removed_u = np.empty(0, dtype=INDEX_DTYPE)
-        removed_v = np.empty(0, dtype=INDEX_DTYPE)
-    return path_id, position, cycle_mask, removed_u, removed_v, n_components
+    kept = ~region[old_u]
+    pairs = np.unique(
+        np.stack(
+            [
+                np.concatenate([old_u[kept], lo[weakest]]),
+                np.concatenate([old_v[kept], hi[weakest]]),
+            ],
+            axis=1,
+        ),
+        axis=0,
+    )
+    return path_id, position, cycle_mask, pairs[:, 0], pairs[:, 1], int(lengths.size)
 
 
 def _splice_bands(
@@ -468,41 +589,38 @@ def _splice_bands(
     region: np.ndarray,
 ) -> TridiagonalSystem:
     """Band buffers of the edited system: untouched vertices copy their old
-    band values to their new offsets, affected positions gather from the
-    edited matrix — reproducing the scatter of
+    band values to their new offsets, affected positions read their rows of
+    the edited matrix — reproducing the scatter of
     :func:`~repro.core.extraction.extract_tridiagonal` exactly (band values
     are raw copies of matrix entries, so no floating-point arithmetic enters
-    the splice)."""
+    the splice).  Edits never touch the diagonal, so ``d`` only moves."""
     n = a.n_rows
     band_dtype = a.data.dtype
     dl = np.zeros(n, dtype=band_dtype)
     d = np.zeros(n, dtype=band_dtype)
     du = np.zeros(n, dtype=band_dtype)
     new_index = inverse_permutation(perm)
+    old_index = inverse_permutation(previous.perm)
+    d[new_index] = previous.tridiagonal.d[old_index]
 
     reused = np.flatnonzero(~region)
-    if reused.size:
-        old_index = inverse_permutation(previous.perm)
-        dl[new_index[reused]] = previous.tridiagonal.dl[old_index[reused]]
-        d[new_index[reused]] = previous.tridiagonal.d[old_index[reused]]
-        du[new_index[reused]] = previous.tridiagonal.du[old_index[reused]]
+    dl[new_index[reused]] = previous.tridiagonal.dl[old_index[reused]]
+    du[new_index[reused]] = previous.tridiagonal.du[old_index[reused]]
 
     fresh = np.flatnonzero(region)
-    if fresh.size:
-        pos = new_index[fresh]
-        d[pos] = a.gather(fresh, fresh).astype(band_dtype)
-        # sub/superdiagonal entries exist exactly between consecutive
-        # positions of the same path (those pairs are the forest edges)
-        has_prev = (pos > 0) & (
-            paths.path_id[perm[np.maximum(pos - 1, 0)]] == paths.path_id[fresh]
-        )
-        sub = pos[has_prev]
-        dl[sub] = a.gather(perm[sub], perm[sub - 1]).astype(band_dtype)
-        has_next = (pos < n - 1) & (
-            paths.path_id[perm[np.minimum(pos + 1, n - 1)]] == paths.path_id[fresh]
-        )
-        sup = pos[has_next]
-        du[sup] = a.gather(perm[sup], perm[sup + 1]).astype(band_dtype)
+    pos = new_index[fresh]
+    # sub/superdiagonal entries exist exactly between consecutive
+    # positions of the same path (those pairs are the forest edges)
+    has_prev = (pos > 0) & (
+        paths.path_id[perm[np.maximum(pos - 1, 0)]] == paths.path_id[fresh]
+    )
+    sub = pos[has_prev]
+    dl[sub] = a.gather(fresh[has_prev], perm[sub - 1])
+    has_next = (pos < n - 1) & (
+        paths.path_id[perm[np.minimum(pos + 1, n - 1)]] == paths.path_id[fresh]
+    )
+    sup = pos[has_next]
+    du[sup] = a.gather(fresh[has_next], perm[sup + 1])
     return TridiagonalSystem(dl=dl, d=d, du=du)
 
 
@@ -649,7 +767,8 @@ def apply_edits(
             ),
         )
 
-    a_new = apply_edits_to_matrix(a, edits)
+    entries = _edit_entries(a, edits)
+    a_new = _splice(a, *entries)
 
     # device resolution is extract_linear_forest's: a group of several
     # devices means a sharded run — which the delta engine cannot splice
@@ -674,7 +793,7 @@ def apply_edits(
         dtype=str(a_new.data.dtype),
     ) as root:
         with timings.phase(PHASE_FACTOR):
-            graph_new = prepare_graph(a_new)
+            graph_new = _edited_graph(previous.graph, a, a_new, entries)
             from .frontier import resolve_compaction
 
             policy = resolve_compaction(compaction, graph=graph_new)
@@ -685,20 +804,24 @@ def apply_edits(
             with trace_span("delta.frontier", category="stage") as span, device.launch(
                 "delta.frontier", reads=(touched,)
             ) as kl:
-                dist = _ball(graph_new, touched, 2 * radius + 1)
-                members = np.flatnonzero(dist <= 2 * radius + 1)
-                core = np.flatnonzero(dist <= radius)
-                # the BFS streams the region's adjacency rows plus the
-                # distance updates
+                limit = max_region_fraction * a.n_rows
+                levels, rows_read = _ball(graph_new, touched, 2 * radius + 1, limit)
+                members = np.sort(np.concatenate(levels))
+                core = np.sort(np.concatenate(levels[: radius + 1]))
+                too_big = members.size > limit
+                # the BFS streams the region's adjacency rows (which the
+                # induced subgraph reads in full) plus the distance updates;
+                # a search stopped by the cutoff read only its frontier rows
+                if not too_big:
+                    rows_read = int(graph_new.row_lengths[members].sum())
                 kl.meter(
-                    read=int(graph_new.row_lengths[members].sum()) * 8
-                    + members.size * 8,
+                    read=rows_read * 8 + members.size * 8,
                     written=members.size * 8,
                 )
                 if span is not None:
                     span.attributes.update(region=int(members.size), core=int(core.size))
 
-            if members.size > max_region_fraction * a.n_rows:
+            if too_big:
                 if root is not None:
                     root.attributes["fallback"] = "region"
                 return _fallback(
@@ -779,7 +902,7 @@ def apply_edits(
                     written=3 * a.n_rows * item,
                 )
 
-        cov = coverage_of(a_new, forest)
+        cov = band_coverage(a_new, forest, perm, tridiagonal)
         if root is not None:
             root.attributes.update(
                 coverage=cov,

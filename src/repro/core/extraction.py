@@ -10,8 +10,10 @@ On the host the COO view is never built: CSR's expanded row array
 (``nnz_rows``), ``indices`` and ``data`` *are* the COO triple, in the same
 order.  The forest test runs one partner-slot column at a time
 (:func:`~repro.core.structures.is_partner`), so no ``(nnz, n)`` array is
-gathered.  :func:`~repro.core.coverage.coverage` makes a pass of its own
-with the same helper (:func:`~repro.core.structures.slot_hits`).
+gathered.  The pipeline then reads Eq. 4's numerator from the bands
+(:func:`~repro.core.coverage.band_coverage`); the public
+:func:`~repro.core.coverage.coverage` makes a pass of its own with the same
+helper (:func:`~repro.core.structures.slot_hits`).
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from ..device.profiler import TimingBreakdown
 from ..obs import current_metrics, trace_span
 from ..sparse.build import prepare_graph
 from ..sparse.csr import CSRMatrix
-from .coverage import coverage as coverage_of
+from .coverage import band_coverage
 from .cycles import BrokenCycles, break_cycles
 from .extraction import TridiagonalSystem, extract_tridiagonal
 from .factor import ParallelFactorConfig, ParallelFactorResult, parallel_factor
@@ -197,7 +197,7 @@ def extract_linear_forest(
                 a, broken.forest, perm, device=device, partition=partition
             )
 
-        cov = coverage_of(a, broken.forest)
+        cov = band_coverage(a, broken.forest, perm, tridiagonal)
         if root is not None:
             root.attributes.update(
                 coverage=cov,

@@ -21,6 +21,7 @@ __all__ = [
     "add",
     "from_dense",
     "from_edges",
+    "is_prepared_symmetric",
     "prepare_graph",
     "symmetrize",
 ]
@@ -81,17 +82,48 @@ def from_edges(
     return coo.to_csr().to_coo().drop_zeros().to_csr()
 
 
+def _offdiag_kept(a: CSRMatrix) -> np.ndarray:
+    """The entries of ``a`` that reach ``A'``: off the diagonal with
+    ``|v| > 0``, which drops explicit zeros and NaN."""
+    return (a.nnz_rows != a.indices) & (np.abs(a.data) > 0)
+
+
 def absolute_offdiag(a: CSRMatrix) -> CSRMatrix:
     """``A' = |A| - diag(|A|)``: absolute values, diagonal removed."""
     check_square(a.shape)
-    val = np.abs(a.data)
-    # a filter keeps the CSR order; ``val > 0`` drops explicit zeros and NaN
-    keep = (a.nnz_rows != a.indices) & (val > 0)
+    # a filter keeps the CSR order
+    keep = _offdiag_kept(a)
     kept = np.zeros(a.nnz + 1, dtype=INDEX_DTYPE)
     np.cumsum(keep, out=kept[1:])
     return CSRMatrix(
-        indptr=kept[a.indptr], indices=a.indices[keep], data=val[keep], shape=a.shape
+        indptr=kept[a.indptr],
+        indices=a.indices[keep],
+        data=np.abs(a.data[keep]),
+        shape=a.shape,
     )
+
+
+def is_prepared_symmetric(graph: CSRMatrix, a: CSRMatrix) -> bool:
+    """Whether ``graph = prepare_graph(a)`` took the symmetric branch.
+
+    Checks that ``graph`` equals :func:`absolute_offdiag` of ``a`` array for
+    array, without a sort or a CSR rebuild.  ``A' + A'^T`` equals ``A'``
+    only when ``A'`` is symmetric, so for a prepared graph of ``a`` this
+    holds exactly when ``A'`` is symmetric.
+    """
+    if graph.shape != a.shape or graph.dtype != a.dtype:
+        return False
+    keep = _offdiag_kept(a)
+    dropped = np.flatnonzero(~keep)
+    if a.nnz - dropped.size != graph.nnz or not np.array_equal(
+        graph.row_lengths,
+        a.row_lengths - np.bincount(a.nnz_rows[dropped], minlength=a.n_rows),
+    ):
+        return False
+    if not np.array_equal(graph.indices, a.indices[keep]):
+        return False
+    kept = a.data[keep]
+    return np.array_equal(graph.data, np.abs(kept, out=kept))
 
 
 def add(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:

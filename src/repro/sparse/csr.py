@@ -123,38 +123,44 @@ class CSRMatrix:
         diag[diag_rows[keep]] = self.data[mask][keep]
         return diag
 
-    def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Values at positions ``(rows[i], cols[i])`` (0 where absent).
+    def find(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+        """Where each ``(rows[i], cols[i])`` sits in the entry order, and
+        whether it is stored.
 
-        Vectorized binary search inside the sorted row segments — this is the
-        edge-weight lookup used by the cycle-breaking scan.
+        The position is the stored entry's, else where the entry would be
+        inserted to keep its row sorted.  A vectorized binary search inside
+        each queried row (``rows`` must lie in ``[0, n_rows)``): it reads
+        about ``log2(row length)`` column indices per query and never the
+        whole matrix.
         """
         rows = np.asarray(rows, dtype=INDEX_DTYPE)
         cols = np.asarray(cols, dtype=INDEX_DTYPE)
-        out = np.zeros(rows.shape, dtype=VALUE_DTYPE)
+        pos = self.indptr[rows]
         if self.nnz == 0:
-            return out
-        # Binary search on flattened keys row*n_cols+col, which are globally
-        # sorted because rows ascend and columns ascend within each row.
-        keys = rows * self.n_cols + cols
-        nnz_keys = self.nnz_rows * self.n_cols + self.indices
-        pos = np.searchsorted(nnz_keys, keys)
-        pos_clipped = np.minimum(pos, self.nnz - 1)
-        valid = nnz_keys[pos_clipped] == keys
-        out[valid] = self.data[pos_clipped[valid]]
+            return pos, np.zeros(pos.shape, dtype=bool)
+        end = self.indptr[rows + 1]
+        length = end - pos
+        # the answer lies in [pos, pos + length]; each step halves length
+        for _ in range(int(length.max(initial=0)).bit_length()):
+            half = length >> 1
+            probe = np.take(self.indices, pos + half, mode="clip")
+            pos += (probe < cols) * (length - half)
+            length = half
+        stored = (pos < end) & (np.take(self.indices, pos, mode="clip") == cols)
+        return pos, stored
+
+    def gather(self, rows, cols) -> np.ndarray:
+        """float64 values at positions ``(rows[i], cols[i])`` (0 where
+        absent), read through :meth:`find` — the edge-weight lookup of the
+        cycle-breaking scan."""
+        pos, stored = self.find(rows, cols)
+        out = np.zeros(pos.shape, dtype=VALUE_DTYPE)
+        out[stored] = self.data[pos[stored]]
         return out
 
-    def contains(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def contains(self, rows, cols) -> np.ndarray:
         """Boolean mask: is ``(rows[i], cols[i])`` a stored nonzero?"""
-        rows = np.asarray(rows, dtype=INDEX_DTYPE)
-        cols = np.asarray(cols, dtype=INDEX_DTYPE)
-        if self.nnz == 0:
-            return np.zeros(rows.shape, dtype=bool)
-        keys = rows * self.n_cols + cols
-        nnz_keys = self.nnz_rows * self.n_cols + self.indices
-        pos = np.searchsorted(nnz_keys, keys)
-        pos_clipped = np.minimum(pos, self.nnz - 1)
-        return nnz_keys[pos_clipped] == keys
+        return self.find(rows, cols)[1]
 
     # -- structure predicates ----------------------------------------------------
     def _mirror_order(self) -> np.ndarray | None:

@@ -1,5 +1,8 @@
 """Edge cases of the delta engine: edit batches, fallbacks, path surgery."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from repro.core.factor import ParallelFactorConfig
 from repro.device import Device, DeviceGroup
 from repro.errors import ConfigError, ShapeError
 from repro.graphs import aniso2
-from repro.sparse import from_edges
+from repro.sparse import CSRMatrix, from_edges
 
 
 def chain(n: int, weight: float = 2.0):
@@ -115,6 +118,74 @@ class TestEditBatch:
         with pytest.raises(ConfigError, match="must be a list"):
             EditBatch.from_dicts({"u": 0, "v": 1, "w": 1.0})
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"u": 1.7, "v": 2, "w": 1.0}, "needs integer 'u' and 'v'"),
+            ({"u": True, "v": 2, "w": 1.0}, "needs integer 'u' and 'v'"),
+            ({"u": 3, "v": "2", "w": 1.0}, "needs integer 'u' and 'v'"),
+            ({"u": 1, "v": 2, "delete": "false"}, "has a non-boolean 'delete' 'false'"),
+            ({"u": 1, "v": 2, "delete": 1}, "has a non-boolean 'delete' 1"),
+            ({"u": 1, "v": 2, "w": True}, "needs a numeric 'w'"),
+            ({"u": 1, "v": 2, "w": "2.5"}, "needs a numeric 'w'"),
+            ({"u": 2**70, "v": 2, "w": 1.0}, "needs integer 'u' and 'v'"),
+            ({"u": 1, "v": 1e300, "w": 1.0}, "needs integer 'u' and 'v'"),
+        ],
+        ids=["float-id", "bool-id", "string-id", "string-delete", "int-delete",
+             "bool-w", "string-w", "int-id-past-int64", "float-id-past-int64"],
+    )
+    def test_from_dicts_refuses_misread_values(self, edit, message):
+        good = {"u": 0, "v": 1, "w": 1.0}
+        with pytest.raises(ConfigError, match="edit #1 " + re.escape(message)):
+            EditBatch.from_dicts([good, edit])
+
+    def test_from_dicts_takes_integral_floats_and_integer_weights(self):
+        batch = EditBatch.from_dicts([{"u": 2.0, "v": 3, "w": 1}])
+        assert batch.to_dicts() == [{"u": 2, "v": 3, "w": 1.0}]
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("u", np.array([0.0, 1.7]), "edit #1: u = 1.7 is not an integer vertex id"),
+            ("v", np.array([True, True]), "edit #0: v = True is not an integer vertex id"),
+            ("w", np.array([True, False]), "edit #0: w = True is not a number"),
+            ("w", np.array(["1.0", "2.0"]), "edit #0: w = '1.0' is not a number"),
+            ("delete", np.array(["false", "no"]), "edit #0: delete = 'false' is not a boolean"),
+            ("delete", np.array([0, 1]), "edit #0: delete = 0 is not a boolean"),
+            # lists that mix types: NumPy would turn the True into 1 / 1.0
+            ("u", [0, True], "edit #1: u = True is not an integer vertex id"),
+            ("w", [2.5, True], "edit #1: w = True is not a number"),
+            ("delete", [False, 0], "edit #1: delete = 0 is not a boolean"),
+            ("u", [0, 2**63], f"edit #1: u = {2**63} is not an integer vertex id"),
+        ],
+        ids=["float-u", "bool-v", "bool-w", "string-w", "string-delete", "int-delete",
+             "mixed-list-u", "mixed-list-w", "mixed-list-delete", "u-past-int64"],
+    )
+    def test_constructor_refuses_instead_of_converting(self, field, value, message):
+        arrays = {
+            "u": np.array([0, 1]), "v": np.array([2, 3]),
+            "w": np.array([1.0, 2.0]), "delete": np.array([False, False]),
+        }
+        arrays[field] = value
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            EditBatch(**arrays)
+
+    def test_constructor_takes_integral_float_ids(self):
+        batch = EditBatch(
+            u=np.array([0.0, 1.0]), v=np.array([2, 3]),
+            w=np.array([1.0, 2.0]), delete=np.array([False, True]),
+        )
+        assert batch.u.dtype == np.int64 and batch.u.tolist() == [0, 1]
+
+    def test_constructor_takes_lists_of_numpy_scalars(self):
+        batch = EditBatch(
+            u=[np.int64(0), 1.0], v=[2, np.int32(3)],
+            w=[np.float32(0.5), 2], delete=[np.False_, True],
+        )
+        assert batch.to_dicts() == [
+            {"u": 0, "v": 2, "w": 0.5}, {"u": 1, "v": 3, "delete": True},
+        ]
+
 
 # -- apply_edits_to_matrix --------------------------------------------------
 
@@ -158,6 +229,27 @@ class TestApplyEditsToMatrix:
         a = chain(6).astype(np.float32)
         edited = apply_edits_to_matrix(a, EditBatch.single(0, 3, 1.25))
         assert edited.data.dtype == np.float32
+
+    @pytest.mark.parametrize("w", [1e39, 1e-50], ids=["overflow", "underflow"])
+    def test_refuses_a_weight_float32_cannot_hold(self, w):
+        """float32 would store inf or an explicit 0 (a silent delete in the
+        prepared graph); the edit is refused instead, without a warning."""
+        a = chain(6).astype(np.float32)
+        batch = EditBatch.from_dicts([{"u": 0, "v": 2, "w": 1.0}, {"u": 1, "v": 3, "w": w}])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ConfigError, match=r"edit #1: weight .* is not finite and nonzero in float32"
+            ):
+                apply_edits_to_matrix(a, batch)
+            previous = extract_linear_forest(a, device=Device(record=False))
+            with pytest.raises(ConfigError, match="float32"):
+                apply_edits(previous, batch, a, device=Device(record=False))
+
+    @pytest.mark.parametrize("w", [1e39, 1e-50], ids=["overflow", "underflow"])
+    def test_float64_holds_those_weights(self, w):
+        edited = apply_edits_to_matrix(chain(6), EditBatch.single(1, 3, w))
+        assert edited.gather([1, 3], [3, 1]).tolist() == [w, w]
 
     def test_out_of_range_endpoint_rejected(self):
         with pytest.raises(ConfigError, match="out of range"):
@@ -291,12 +383,12 @@ def test_max_region_fraction_tightens_the_cutoff():
     assert same_bits(loose.result, tight.result)
 
 
-def test_region_fallback_prepares_the_edited_matrix_once(monkeypatch):
-    """The fallback re-run reuses the prepared graph that sized the ball."""
+def _count_prepares(monkeypatch, a, max_region_fraction):
+    """Run one single-edit update of ``a`` and return it with the matrices
+    that ``prepare_graph`` received in the delta engine and the pipeline."""
     import repro.core.delta as delta_mod
     import repro.core.pipeline as pipeline_mod
 
-    a = aniso2(16)
     previous = extract_linear_forest(a, device=Device(record=False))
     calls = []
     real = delta_mod.prepare_graph
@@ -309,11 +401,41 @@ def test_region_fallback_prepares_the_edited_matrix_once(monkeypatch):
     monkeypatch.setattr(pipeline_mod, "prepare_graph", counting)
     updated = apply_edits(
         previous, EditBatch.single(0, 1, 3.0), a,
-        device=Device(record=False), max_region_fraction=0.0,
+        device=Device(record=False), max_region_fraction=max_region_fraction,
     )
-    assert updated.stats.fallback == "region"
-    assert len(calls) == 1
     monkeypatch.undo()
+    return updated, calls
+
+
+def test_region_fallback_prepares_the_edited_matrix_once(monkeypatch):
+    """On a symmetric input the edited graph is spliced from the previous
+    prepared graph, and the fallback re-run reuses it: nothing is prepared."""
+    updated, calls = _count_prepares(monkeypatch, aniso2(16), 0.0)
+    assert updated.stats.fallback == "region"
+    assert len(calls) == 0
+    check_against_scratch(updated)
+
+
+def scaled(a, seed: int):
+    """``a`` with every entry scaled by its own random factor in [0.5, 2):
+    the pattern stays symmetric, the values do not."""
+    rng = np.random.default_rng(seed)
+    return CSRMatrix(
+        a.indptr, a.indices, a.data * rng.uniform(0.5, 2.0, a.nnz), a.shape
+    )
+
+
+@pytest.mark.parametrize("max_region_fraction", [0.0, 1.0], ids=["fallback", "delta"])
+def test_a_non_symmetric_input_prepares_the_edited_matrix_once(
+    monkeypatch, max_region_fraction
+):
+    """A non-symmetric ``A'`` cannot be spliced: the edited matrix is
+    prepared exactly once, and a fallback re-run reuses that graph."""
+    a = scaled(aniso2(16), seed=5)
+    assert not a.is_symmetric()
+    updated, calls = _count_prepares(monkeypatch, a, max_region_fraction)
+    assert updated.stats.fallback == ("region" if max_region_fraction == 0.0 else None)
+    assert [m.data.tobytes() for m in calls] == [updated.matrix.data.tobytes()]
     check_against_scratch(updated)
 
 

@@ -3,6 +3,7 @@
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -11,7 +12,7 @@ from repro.core.delta import EditBatch, apply_edits_to_matrix
 from repro.graphs import aniso1, aniso2
 from repro.serve import ReproServer, ServeConfig
 from repro.serve import server as server_mod
-from repro.sparse import matrix_digest, prepare_graph
+from repro.sparse import CSRMatrix, matrix_digest, prepare_graph
 
 # a 64x64 grid keeps the invalidation ball (radius 19) of a corner edit
 # under the region cutoff, so warm updates exercise the true delta path
@@ -205,7 +206,8 @@ def test_coalesced_update_launches_are_attributed_to_the_leader_alone(
     assert all("delta.edits" not in r["report"]["metrics"]["counters"] for r in followers)
 
 
-def test_a_warm_update_prepares_the_edited_matrix_once(server, matrix, monkeypatch):
+def _prepares_of_a_warm_update(server, matrix, monkeypatch):
+    """The matrices ``prepare_graph`` receives during one warm update."""
     server.handle_request({"op": "extract", "id": 1, "matrix": _csr_spec(matrix)})
     calls = []
 
@@ -219,8 +221,66 @@ def test_a_warm_update_prepares_the_edited_matrix_once(server, matrix, monkeypat
         {"op": "update", "id": 2, "matrix": _csr_spec(matrix), "edits": EDITS}
     )
     assert resp["delta"]["warm"] is True
+    return calls
+
+
+def test_a_warm_update_prepares_the_edited_matrix_once(server, matrix, monkeypatch):
+    """A symmetric input's edited graph is spliced from the warm result's
+    prepared graph: the update prepares nothing."""
+    assert _prepares_of_a_warm_update(server, matrix, monkeypatch) == []
+
+
+def test_a_non_symmetric_warm_update_prepares_the_edited_matrix_once(
+    server, monkeypatch
+):
+    rng = np.random.default_rng(11)
+    grid = aniso2(64)
+    matrix = CSRMatrix(
+        grid.indptr, grid.indices, grid.data * rng.uniform(0.5, 2.0, grid.nnz),
+        grid.shape,
+    )
+    calls = _prepares_of_a_warm_update(server, matrix, monkeypatch)
     edited = apply_edits_to_matrix(matrix, EditBatch.from_dicts(EDITS))
     assert [matrix_digest(a) for a in calls] == [matrix_digest(edited)]
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        [{"u": 3, "v": 7.5, "w": 0.25}],
+        [{"u": True, "v": 7, "w": 0.25}],
+        [{"u": "3", "v": 7, "w": 0.25}],
+        [{"u": 3, "v": 7, "delete": "false"}],
+        [{"u": 3, "v": 7, "w": "0.25"}],
+        [{"u": 3, "v": 7, "w": False}],
+    ],
+    ids=["float-id", "bool-id", "string-id", "string-delete", "string-w", "bool-w"],
+)
+def test_misread_edit_values_are_refused_and_cache_nothing(server, matrix, edits):
+    server.handle_request({"op": "extract", "id": 1, "matrix": _csr_spec(matrix)})
+    cached, warm = server.cache.keys(), list(server._warm)
+    resp = server.handle_request(
+        {"op": "update", "id": 2, "matrix": _csr_spec(matrix), "edits": edits}
+    )
+    assert resp["ok"] is False
+    assert resp["error"]["type"] == "ConfigError"
+    assert "edit #0" in resp["error"]["message"]
+    assert server.cache.keys() == cached and list(server._warm) == warm
+
+
+@pytest.mark.parametrize("w", [1e39, 1e-50], ids=["overflow", "underflow"])
+def test_a_weight_float32_cannot_hold_is_refused_and_caches_nothing(server, w):
+    matrix = aniso2(16).astype("float32")
+    server.handle_request({"op": "extract", "id": 1, "matrix": _csr_spec(matrix)})
+    cached, warm = server.cache.keys(), list(server._warm)
+    resp = server.handle_request(
+        {"op": "update", "id": 2, "matrix": _csr_spec(matrix),
+         "edits": [{"u": 3, "v": 7, "w": w}]}
+    )
+    assert resp["ok"] is False
+    assert resp["error"]["type"] == "ConfigError"
+    assert "edit #0" in resp["error"]["message"] and "float32" in resp["error"]["message"]
+    assert server.cache.keys() == cached and list(server._warm) == warm
 
 
 def test_batch_window_members_seed_the_warm_store(matrix):

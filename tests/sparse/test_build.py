@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ShapeError
 from repro.sparse import (
+    CSRMatrix,
     absolute_offdiag,
     add,
     from_dense,
@@ -99,3 +100,32 @@ def test_prepare_graph_output_invariants(small_dense):
     assert g.is_symmetric()
     assert np.all(g.diagonal() == 0.0)
     assert np.all(g.data > 0.0)
+
+
+def test_is_prepared_symmetric_follows_prepare_graphs_branch():
+    from repro.sparse.build import is_prepared_symmetric
+
+    # stored zeros, a NaN and a diagonal: entries absolute_offdiag drops
+    sym = np.array(
+        [[4.0, -1.0, 0.0, 2.0], [-1.0, 3.0, 0.5, 0.0], [0.0, 0.5, 1.0, -7.0],
+         [2.0, 0.0, -7.0, 0.0]]
+    )
+    a = from_dense(sym)
+    stored_zero = a.to_coo()
+    stored_zero.val[(stored_zero.row == 0) & (stored_zero.col == 1)] = 0.0
+    stored_zero.val[(stored_zero.row == 1) & (stored_zero.col == 0)] = np.nan
+    for m in (a, stored_zero.to_csr(), a.astype(np.float32)):
+        assert is_prepared_symmetric(prepare_graph(m), m)
+    # values or pattern not symmetric: prepare_graph adds the transpose
+    for m in (from_dense(sym * np.arange(1.0, 5.0)[:, None]),
+              from_dense(np.triu(sym))):
+        assert not is_prepared_symmetric(prepare_graph(m), m)
+    # a graph that is not the matrix's own preparation
+    assert not is_prepared_symmetric(prepare_graph(a).scale_values(2.0), a)
+    assert not is_prepared_symmetric(prepare_graph(a), a.astype(np.float32))
+    # the same indices and values split into rows differently
+    tri = from_dense(np.array([[0.0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 0]]))
+    g = prepare_graph(tri)
+    assert is_prepared_symmetric(g, tri)
+    moved = CSRMatrix(indptr=[0, 1, 2, 4, 6], indices=g.indices, data=g.data, shape=g.shape)
+    assert not is_prepared_symmetric(moved, tri)

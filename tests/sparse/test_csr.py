@@ -72,6 +72,30 @@ def test_gather_empty_matrix():
     np.testing.assert_allclose(a.gather(np.array([0]), np.array([0])), [0.0])
 
 
+def test_find_gives_the_sorted_insertion_point_inside_the_row():
+    # empty first, middle and last rows, long and one-entry rows
+    rng = np.random.default_rng(7)
+    dense = np.where(rng.random((9, 40)) < 0.3, rng.standard_normal((9, 40)), 0.0)
+    dense[[0, 4, 8]] = 0.0
+    dense[6] = 0.0
+    dense[6, 17] = 1.5
+    a = from_dense(dense)
+    rows, cols = np.meshgrid(np.arange(9), np.arange(40), indexing="ij")
+    pos, stored = a.find(rows, cols)
+    # the same answer as a search in the matrix-wide sorted key array
+    keys = np.searchsorted(a.nnz_rows * a.n_cols + a.indices, rows * a.n_cols + cols)
+    np.testing.assert_array_equal(pos, keys)
+    np.testing.assert_array_equal(stored, dense != 0)
+    np.testing.assert_array_equal(a.gather(rows, cols), dense)
+
+
+def test_gather_reads_float32_as_float64():
+    a = from_dense(np.array([[0.0, 0.1], [0.3, 0.0]])).astype(np.float32)
+    out = a.gather([0, 1, 1], [1, 0, 1])
+    assert out.dtype == np.float64
+    assert out.tolist() == [float(np.float32(0.1)), float(np.float32(0.3)), 0.0]
+
+
 def test_contains(small_csr, small_dense):
     rows = np.array([0, 1, 3, 4])
     cols = np.array([3, 1, 1, 2])
