@@ -2,12 +2,14 @@
 
 One :class:`ResultCache` maps request keys — ``op`` + input-matrix digest +
 canonicalized config digest, see :mod:`repro.serve.server` — to the
-JSON-safe result payload the cold run produced.  A hit replays that payload
+JSON-safe result payload the cold run produced, held once, as its
+canonical JSON text (:func:`canonical_json`).  A hit replays that text
 verbatim, which is why serving from the cache is bit-identical to the cold
-run: the payload *is* the cold run's response body.
+run: the text *is* the cold run's response body.  The server writes it into
+the response line as it is; :meth:`ResultCache.get` decodes a fresh dict.
 
-The store is a plain LRU over a byte budget: entries are charged their
-canonical JSON encoding (exactly what persistence writes), reads refresh
+The store is a plain LRU over a byte budget: entries are charged the
+length of their text (exactly what persistence writes), reads refresh
 recency, and inserts evict from the cold end until the total fits.  A
 payload larger than the whole budget is refused rather than allowed to
 flush everything else.
@@ -36,7 +38,9 @@ from pathlib import Path
 from .._atomic import atomic_open
 from ..errors import ConfigError
 
-__all__ = ["RESULTS_SCHEMA", "ResultCache", "ServeWarning", "payload_nbytes"]
+__all__ = [
+    "RESULTS_SCHEMA", "ResultCache", "ServeWarning", "canonical_json", "payload_nbytes",
+]
 
 #: Schema tag of the persisted result-cache document; bumping it invalidates
 #: old documents instead of mis-reading them.  v2: keys carry the full input
@@ -48,13 +52,21 @@ class ServeWarning(UserWarning):
     """Raised (as a warning) when the serve layer degrades instead of failing."""
 
 
+def canonical_json(payload: dict) -> str:
+    """The canonical JSON text of a payload: sorted keys, no spaces, ASCII.
+
+    What the cache stores, charges, persists and hands to response lines.
+    """
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def payload_nbytes(payload: dict) -> int:
     """Byte cost of one cached payload: its canonical JSON encoding.
 
     The same encoding persistence writes, so the in-memory budget and the
     on-disk footprint agree.
     """
-    return len(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
+    return len(canonical_json(payload))
 
 
 class ResultCache:
@@ -68,8 +80,8 @@ class ResultCache:
         if max_bytes is not None and max_bytes < 0:
             raise ConfigError(f"result-cache byte budget cannot be negative: {max_bytes}")
         self.max_bytes = max_bytes
-        # key -> (payload, nbytes); order is recency, coldest first
-        self._entries: "OrderedDict[str, tuple[dict, int]]" = OrderedDict()
+        # key -> (canonical JSON text, nbytes); order is recency, coldest first
+        self._entries: "OrderedDict[str, tuple[str, int]]" = OrderedDict()
         self.total_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -86,7 +98,14 @@ class ResultCache:
         return list(self._entries)
 
     def get(self, key: str) -> dict | None:
-        """The payload under ``key`` (refreshing recency), or ``None``."""
+        """A fresh decode of the payload under ``key`` (refreshing recency),
+        or ``None``; the caller owns the dict."""
+        text = self.get_text(key)
+        return None if text is None else json.loads(text)
+
+    def get_text(self, key: str) -> str | None:
+        """The canonical JSON text under ``key`` (refreshing recency), or
+        ``None``."""
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -102,13 +121,17 @@ class ResultCache:
         exceeds the whole budget — caching it would evict everything and
         still not fit.
         """
-        nbytes = payload_nbytes(payload)
+        return self.put_text(key, canonical_json(payload))
+
+    def put_text(self, key: str, text: str) -> bool:
+        """:meth:`put` for a payload already encoded by :func:`canonical_json`."""
+        nbytes = len(text)  # ASCII, so one byte per character
         if self.max_bytes is not None and nbytes > self.max_bytes:
             return False
         old = self._entries.pop(key, None)
         if old is not None:
             self.total_bytes -= old[1]
-        self._entries[key] = (payload, nbytes)
+        self._entries[key] = (text, nbytes)
         self.total_bytes += nbytes
         if self.max_bytes is not None:
             while self.total_bytes > self.max_bytes and len(self._entries) > 1:
@@ -128,22 +151,15 @@ class ResultCache:
         }
 
     # -- persistence -------------------------------------------------------
-    def to_dict(self) -> dict:
-        """The persisted document; entry order is recency, coldest first."""
-        return {
-            "schema": RESULTS_SCHEMA,
-            "max_bytes": self.max_bytes,
-            "entries": {key: payload for key, (payload, _) in self._entries.items()},
-        }
-
     @classmethod
     def from_dict(cls, d: dict, *, max_bytes: int | None = None) -> "ResultCache":
         """Rebuild a cache from its document.
 
         ``max_bytes`` overrides the stored budget (the daemon's configured
         budget wins over whatever the previous process used); re-inserting
-        through :meth:`put` re-applies the budget, so a document written
-        under a larger budget is trimmed coldest-first on load.
+        through :meth:`put` re-encodes each payload canonically and
+        re-applies the budget, so a document written under a larger budget
+        is trimmed coldest-first on load.
         """
         if not isinstance(d, dict):
             raise ConfigError(f"result cache must be a JSON object, got {type(d).__name__}")
@@ -203,9 +219,17 @@ class ResultCache:
     def save(self, path: "str | os.PathLike") -> None:
         """Atomically (re)write the cache document at ``path``.
 
-        Staged through :func:`repro._atomic.atomic_open`, like the tuning
-        cache and the Prometheus exposition.
+        The document is ``{"schema", "max_bytes", "entries"}`` with the
+        entries in recency order, coldest first, each written as its stored
+        text.  Staged through :func:`repro._atomic.atomic_open`, like the
+        tuning cache and the Prometheus exposition.
         """
         with atomic_open(path) as fh:
-            json.dump(self.to_dict(), fh, separators=(",", ":"), sort_keys=False)
-            fh.write("\n")
+            fh.write(
+                f'{{"schema":{json.dumps(RESULTS_SCHEMA)},'
+                f'"max_bytes":{json.dumps(self.max_bytes)},"entries":{{'
+            )
+            for i, (key, (text, _)) in enumerate(self._entries.items()):
+                fh.write(f"{',' if i else ''}{json.dumps(key)}:")
+                fh.write(text)
+            fh.write("}}\n")

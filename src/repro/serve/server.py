@@ -42,8 +42,11 @@ the configured batch window are packed through
 :func:`repro.batch.extract_linear_forest_batch`, so N cold graphs cost one
 set of kernel launches; the batch splitter's bit-identity guarantee is what
 makes this safe to do silently.  Hits replay the memoized payload with zero
-kernel launches.  Graceful shutdown drains in-flight requests, then
-persists the result cache atomically (temp file + ``os.replace``).
+kernel launches.  The cache holds each payload as its canonical JSON text:
+a miss encodes it once, and every response line (hit, miss, follower)
+writes that text in as its ``result``; :meth:`ReproServer.handle_request`
+decodes a fresh dict instead.  Graceful shutdown drains in-flight requests,
+then persists the result cache atomically (temp file + ``os.replace``).
 Inputs the daemon cannot answer exactly — an inline dtype other than
 float32/float64, a non-finite entry, a coverage that overflows to nan or
 inf — are request errors, never cached.
@@ -98,7 +101,7 @@ from ..solvers import (
     bicgstab,
 )
 from ..sparse import CSRMatrix, matrix_digest, prepare_graph, read_matrix_market
-from .result_cache import ResultCache
+from .result_cache import ResultCache, canonical_json
 from .session import RequestSession
 
 __all__ = [
@@ -276,8 +279,9 @@ def load_matrix(spec) -> CSRMatrix:
 def _extract_payload(result) -> dict:
     """The memoized body of an ``extract`` response (JSON-safe, lossless).
 
-    Python floats round-trip float32 and float64 values exactly through
-    JSON, so replaying this payload is bit-identical to the cold run.
+    ``tolist`` gives Python ints and floats, and Python floats round-trip
+    float32 and float64 values exactly through JSON, so replaying this
+    payload is bit-identical to the cold run.
     """
     tri = result.tridiagonal
     return {
@@ -285,14 +289,10 @@ def _extract_payload(result) -> dict:
         "coverage": float(result.coverage),
         "n_paths": int(result.paths.n_paths),
         "n_cycles": int(result.broken.n_cycles),
-        "perm": [int(v) for v in result.perm],
-        "path_id": [int(v) for v in result.paths.path_id],
-        "position": [int(v) for v in result.paths.position],
-        "bands": {
-            "dl": [float(v) for v in tri.dl],
-            "d": [float(v) for v in tri.d],
-            "du": [float(v) for v in tri.du],
-        },
+        "perm": result.perm.tolist(),
+        "path_id": result.paths.path_id.tolist(),
+        "position": result.paths.position.tolist(),
+        "bands": {"dl": tri.dl.tolist(), "d": tri.d.tolist(), "du": tri.du.tolist()},
         "value_dtype": str(tri.d.dtype),
     }
 
@@ -305,7 +305,7 @@ def _factor_payload(a: CSRMatrix, res) -> dict:
         "iterations": int(res.iterations),
         "m_max": int(res.m_max) if res.m_max is not None else None,
         "converged": bool(res.converged),
-        "neighbors": [[int(v) for v in row] for row in res.factor.neighbors],
+        "neighbors": res.factor.neighbors.tolist(),
     }
 
 
@@ -386,11 +386,11 @@ class ServeConfig:
 class _Waiter:
     """One in-flight cold run; followers block on ``event``."""
 
-    __slots__ = ("event", "payload", "error")
+    __slots__ = ("event", "text", "error")
 
     def __init__(self):
         self.event = threading.Event()
-        self.payload = None
+        self.text = None
         self.error = None
 
 
@@ -411,8 +411,11 @@ class ReproServer:
     """The daemon: request handling, caching, coalescing, shutdown.
 
     Usable purely in-process (``handle_request(dict) -> dict``, what the
-    tests drive) or as a stream daemon (:meth:`serve_forever` over
-    line-delimited JSON, what ``repro serve`` runs).
+    tests drive) or as a stream daemon (:meth:`handle_line` and
+    :meth:`serve_forever` over line-delimited JSON, what ``repro serve``
+    runs).  Both answer from one request path, whose responses carry a
+    ``result`` as its stored canonical JSON text: a line writes that text
+    in as it is, and ``handle_request`` decodes it.
     """
 
     def __init__(
@@ -469,10 +472,21 @@ class ReproServer:
                 None, ConfigError(f"request line is not valid JSON: {exc}")
             )
             return json.dumps(response)
-        return json.dumps(self.handle_request(request))
+        return _response_line(self._handle(request))
 
     def handle_request(self, request) -> dict:
-        """Serve one request dict; never raises on request errors."""
+        """Serve one request dict; never raises on request errors.
+
+        A ``result`` is decoded afresh from the stored text, so the caller
+        owns it: changing it changes no later response.
+        """
+        response = self._handle(request)
+        if "result" in response:
+            response["result"] = json.loads(response["result"])
+        return response
+
+    def _handle(self, request) -> dict:
+        """The one request path; a ``result`` is canonical JSON text."""
         if not isinstance(request, dict):
             return _error_response(
                 None, ConfigError("request must be a JSON object")
@@ -541,7 +555,7 @@ class ReproServer:
                     key=key, n_vertices=a.n_rows, nnz=a.nnz,
                     n_edits=None if edits is None else len(edits),
                 )
-                payload, cached, delta = self._resolve(
+                result, cached, delta = self._resolve(
                     op, key, keyed, cfg, session,
                     update=None if edits is None else (a, edits),
                 )
@@ -549,7 +563,7 @@ class ReproServer:
             report["serve"] = self._record_session(session, t0)
             return {
                 "id": request_id, "ok": True, "op": op, "protocol": PROTOCOL,
-                "key": key, "cached": cached, "result": payload,
+                "key": key, "cached": cached, "result": result,
                 **({"delta": delta} if op == "update" else {}), "report": report,
             }
         except Exception as exc:  # a daemon survives bad requests
@@ -621,15 +635,17 @@ class ReproServer:
         """The cache contract: hit replays, miss runs, identical misses share.
 
         An update passes the edited matrix as ``a`` and ``update=(pre-edit
-        matrix, edits)``.  Returns ``(payload, cached, delta)``; ``delta`` is
-        ``None`` except on an update's own miss.
+        matrix, edits)``.  Returns ``(text, cached, delta)``: ``text`` is the
+        payload's canonical JSON, which a miss encodes once for the cache
+        and its response; ``delta`` is ``None`` except on an update's own
+        miss.
         """
         with self._lock:
-            payload = self.cache.get(key)
-            if payload is not None:
+            text = self.cache.get_text(key)
+            if text is not None:
                 self.metrics.counter("serve.cache.hit").inc()
                 session.record_cache(hit=True)
-                return payload, True, None
+                return text, True, None
             waiter = self._inflight.get(key)
             if waiter is None:
                 waiter = _Waiter()
@@ -646,7 +662,7 @@ class ReproServer:
             self.metrics.counter("serve.cache.hit").inc()
             self.metrics.counter("serve.coalesced").inc()
             session.record_cache(hit=True, coalesced=True)
-            return waiter.payload, True, None
+            return waiter.text, True, None
         self.metrics.counter("serve.cache.miss").inc()
         session.record_cache(hit=False)
         delta = None
@@ -666,6 +682,7 @@ class ReproServer:
             coverage = payload.get("coverage")
             if coverage is not None and not np.isfinite(coverage):
                 raise ConfigError(f"{op} coverage is {coverage}: the weights overflow")
+            text = canonical_json(payload)
         except BaseException as exc:
             with self._lock:
                 self._inflight.pop(key, None)
@@ -673,12 +690,12 @@ class ReproServer:
             waiter.event.set()
             raise
         with self._lock:
-            stored = self.cache.put(key, payload)
+            stored = self.cache.put_text(key, text)
             self._inflight.pop(key, None)
-        waiter.payload = payload
+        waiter.text = text
         waiter.event.set()
         session.annotate(stored=stored)
-        return payload, False, delta
+        return text, False, delta
 
     def _run_device(self) -> Device:
         """The metering device of one cold pipeline run.
@@ -726,7 +743,7 @@ class ReproServer:
         h = res.history
         return {
             "op": "solve",
-            "x": [float(v) for v in res.x],
+            "x": res.x.tolist(),
             "converged": bool(res.converged),
             "iterations": int(h.n_iterations),
             "final_residual": float(h.final_residual),
@@ -873,12 +890,12 @@ class ReproServer:
 
         def emit(response: dict) -> None:
             with out_lock:
-                out_stream.write(json.dumps(response) + "\n")
+                out_stream.write(_response_line(response) + "\n")
                 out_stream.flush()
 
         def worker(request) -> None:
             try:
-                emit(self.handle_request(request))
+                emit(self._handle(request))
             finally:
                 slots.release()
 
@@ -909,6 +926,20 @@ class ReproServer:
                 "id": shutdown_request.get("id"), "ok": True,
                 "op": "shutdown", "protocol": PROTOCOL,
             })
+
+
+def _response_line(response: dict) -> str:
+    """``json.dumps(response)``, with the ``result`` text written in as it is."""
+    if "result" not in response:
+        return json.dumps(response)
+    pieces = []
+    for key, value in response.items():
+        pieces.append(f"{', ' if pieces else '{'}{json.dumps(key)}: ")
+        pieces.append(value if key == "result" else json.dumps(value))
+    pieces.append("}")
+    # one join copies the result text once: formatting a 0.9 MB text into
+    # an f-string inside a join took 1.0 ms, this 0.07 ms
+    return "".join(pieces)
 
 
 def _error_response(request_id, exc, *, op=None) -> dict:

@@ -59,11 +59,15 @@ class CSRMatrix:
         if indices.size:
             require(int(indices.min()) >= 0 and int(indices.max()) < n_cols, "column index out of range", FormatError)
             # strictly increasing inside each row: a decrease is only allowed
-            # at row boundaries.
-            row_start = np.zeros(indices.size + 1, dtype=bool)
-            row_start[indptr[1:-1]] = True
+            # at row boundaries.  step[k] compares entries k and k + 1, so the
+            # boundary before a row starting at 0 < p < nnz is step[p - 1];
+            # those starts are the interior of the sorted indptr.
+            step = np.diff(indices)
+            lo = int(np.searchsorted(indptr, 0, side="right"))
+            hi = int(np.searchsorted(indptr, indices.size, side="left"))
+            step[indptr[lo:hi] - 1] = 1
             require(
-                not bool((np.diff(indices) <= 0)[~row_start[1:-1]].any()),
+                not step.size or int(step.min()) > 0,
                 "column indices must be strictly increasing within each row",
                 FormatError,
             )
