@@ -7,6 +7,9 @@ re-check anything in their hot loops.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .errors import ShapeError
@@ -48,6 +51,25 @@ def as_value_array(a, *, name: str = "array", dtype=None) -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=dtype)
     require(out.ndim == 1, f"{name} must be one-dimensional, got ndim={out.ndim}")
     return out
+
+
+def _is_integral(x) -> bool:
+    """A real, non-boolean number with an integer value that fits an int64."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    if not (isinstance(x, numbers.Integral) or (math.isfinite(x) and float(x).is_integer())):
+        return False
+    return -(2**63) <= x < 2**63
+
+
+def _is_real(x) -> bool:
+    """A real, non-boolean number (strings and booleans are not weights)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_flag(x) -> bool:
+    """A Python or NumPy boolean (``0``, ``1`` and ``"false"`` are not)."""
+    return isinstance(x, (bool, np.bool_))
 
 
 def check_square(shape: tuple[int, int], *, name: str = "matrix") -> int:

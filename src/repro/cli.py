@@ -81,25 +81,11 @@ from .obs import (
     use_tracer,
     write_run_report,
 )
-from .solvers import (
-    AlgTriBlockPrecond,
-    AlgTriScalPrecond,
-    IdentityPrecond,
-    JacobiPrecond,
-    TriScalPrecond,
-    bicgstab,
-)
+from .solvers import bicgstab
+from .solvers.preconditioners import _PRECONDITIONERS, _paper_solution
 from .sparse import prepare_graph, read_matrix_market, write_matrix_market
 
 __all__ = ["main"]
-
-_PRECONDITIONERS = {
-    "none": IdentityPrecond,
-    "jacobi": JacobiPrecond,
-    "triscal": TriScalPrecond,
-    "algtriscal": AlgTriScalPrecond,
-    "algtriblock": AlgTriBlockPrecond,
-}
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -364,7 +350,7 @@ def _cmd_solve(args) -> int:
         b = np.loadtxt(args.rhs)
         x_t = None
     else:
-        x_t = np.sin(16.0 * np.pi * np.arange(n) / n)
+        x_t = _paper_solution(n)
         b = a.matvec(x_t)
         print("rhs built from the paper's test problem x_t[i] = sin(16*pi*i/N)")
     with ExitStack() as stack:

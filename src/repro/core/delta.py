@@ -63,15 +63,13 @@ protocol has no update path yet.  See ``docs/INCREMENTAL.md``.
 
 from __future__ import annotations
 
-import math
-import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .._validation import INDEX_DTYPE, require
+from .._validation import INDEX_DTYPE, _is_flag, _is_integral, _is_real, require
 from ..device.device import Device, DeviceGroup
 from ..device.profiler import TimingBreakdown
 from ..errors import ConfigError, ShapeError
@@ -81,7 +79,7 @@ from ..sparse.csr import CSRMatrix
 from .coverage import band_coverage
 from .cycles import BrokenCycles
 from .extraction import TridiagonalSystem
-from .factor import ParallelFactorConfig, ParallelFactorResult, parallel_factor
+from .factor import ParallelFactorConfig, parallel_factor
 from .partition import resolve_device
 from .paths import PathInfo
 from .permutation import forest_permutation, inverse_permutation
@@ -119,25 +117,6 @@ def _refuse_first(bad: np.ndarray, why) -> None:
     if bool(bad.any()):
         i = int(np.flatnonzero(bad)[0])
         raise ConfigError(f"edit #{i}: {why(i)}")
-
-
-def _is_integral(x) -> bool:
-    """A real, non-boolean number with an integer value that fits an int64."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        return False
-    if not (isinstance(x, numbers.Integral) or (math.isfinite(x) and float(x).is_integer())):
-        return False
-    return -(2**63) <= x < 2**63
-
-
-def _is_real(x) -> bool:
-    """A real, non-boolean number (strings and booleans are not weights)."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def _is_flag(x) -> bool:
-    """A Python or NumPy boolean (``0``, ``1`` and ``"false"`` are not)."""
-    return isinstance(x, (bool, np.bool_))
 
 
 def _checked(values, name: str, ok, what: str, dtype) -> np.ndarray:
@@ -930,20 +909,9 @@ def apply_edits(
         metrics.counter("delta.rescanned_vertices").inc(n_rescanned)
         metrics.counter("delta.reused_vertices").inc(int(a.n_rows - members.size))
 
-    factor_result = ParallelFactorResult(
-        factor=raw_factor,
-        iterations=sub_result.iterations,
-        m_max=sub_result.m_max,
-        converged=sub_result.converged,
-        coverage_history=[],
-        proposals_per_iteration=list(sub_result.proposals_per_iteration),
-        frontier_history=list(sub_result.frontier_history),
-        compaction_decisions=list(sub_result.compaction_decisions),
-        gathered_elements=sub_result.gathered_elements,
-    )
     result = LinearForestResult(
         graph=graph_new,
-        factor_result=factor_result,
+        factor_result=replace(sub_result, factor=raw_factor, coverage_history=[]),
         broken=BrokenCycles(
             forest=forest, removed_u=removed_u, removed_v=removed_v,
             cycle_mask=cycle_mask,

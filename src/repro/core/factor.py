@@ -270,7 +270,8 @@ def parallel_factor(
     n = config.n
     if graph.n_rows != graph.n_cols:
         raise ShapeError("graph adjacency must be square")
-    validate_proposition_weights(graph.data)
+    # every shard's PropositionEngine validates its rows' weights, and the
+    # shards cover every row
     placement = Placement(device, n_vertices, partition)
     # one concrete policy for every shard ("auto" fingerprints the graph once)
     policy = resolve_compaction(compaction, graph=graph)

@@ -49,7 +49,7 @@ import os
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
-from ..device.costmodel import compaction_cost
+from ..device.costmodel import CompactionCost, compaction_cost
 from ..errors import ConfigError
 from ..obs.metrics import current_metrics
 
@@ -127,16 +127,27 @@ class CompactionDecision:
         return self.gather_bytes - self.dead_lane_bytes
 
 
-def _decide(state: FrontierState, policy: str, compact: bool, reason: str) -> CompactionDecision:
-    if state.dead == 0:
-        compact, reason = False, "clean"
-    cost = compaction_cost(
+def _cost(state: FrontierState) -> CompactionCost:
+    return compaction_cost(
         live=state.live,
         dead=state.dead,
         gather_element_bytes=state.gather_element_bytes,
         dead_element_bytes=state.dead_element_bytes,
         rounds_remaining=state.rounds_remaining,
     )
+
+
+def _decide(
+    state: FrontierState,
+    policy: str,
+    compact: bool,
+    reason: str,
+    cost: CompactionCost | None = None,
+) -> CompactionDecision:
+    if state.dead == 0:
+        compact, reason = False, "clean"
+    if cost is None:
+        cost = _cost(state)
     return CompactionDecision(
         policy=policy,
         compact=compact,
@@ -211,18 +222,12 @@ class AdaptiveCompaction:
     name = "adaptive"
 
     def decide(self, state: FrontierState) -> CompactionDecision:
-        cost = compaction_cost(
-            live=state.live,
-            dead=state.dead,
-            gather_element_bytes=state.gather_element_bytes,
-            dead_element_bytes=state.dead_element_bytes,
-            rounds_remaining=state.rounds_remaining,
-        )
+        cost = _cost(state)
         if cost.compaction_saves:
             reason = f"gather {cost.gather_bytes} < carry {cost.dead_lane_bytes}"
         else:
             reason = f"gather {cost.gather_bytes} >= carry {cost.dead_lane_bytes}"
-        return _decide(state, self.name, cost.compaction_saves, reason)
+        return _decide(state, self.name, cost.compaction_saves, reason, cost)
 
 
 def wants_auto(spec: "CompactionPolicy | str | None") -> bool:

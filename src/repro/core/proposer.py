@@ -111,44 +111,42 @@ def proposal_order(rows: np.ndarray, data: np.ndarray) -> np.ndarray:
     return np.argsort(rows * distinct.size + rank, kind="stable")
 
 
-def _segmented_rank(
-    rows: np.ndarray,
-    eligible: np.ndarray,
-    row_starts: np.ndarray,
-    row_counts: np.ndarray,
-    n_vertices: int,
-) -> np.ndarray:
-    """Rank of each entry among its row's *eligible* entries, in array order.
-
-    ``rows`` must be sorted; ``row_starts``/``row_counts`` describe its
-    segments.  Ineligible entries receive meaningless (but harmless) ranks.
-    """
-    elig_int = eligible.astype(INDEX_DTYPE)
-    cum = np.cumsum(elig_int)
-    base = np.zeros(n_vertices, dtype=INDEX_DTYPE)
-    non_empty = row_counts > 0
-    starts = row_starts[non_empty]
-    base[non_empty] = cum[starts] - elig_int[starts]
-    return cum - 1 - base[rows]
-
-
-def _scatter_proposals(
-    rows: np.ndarray,
+def _select_proposals(
+    rows_local: np.ndarray,
     cols: np.ndarray,
     vals: np.ndarray,
-    selected: np.ndarray,
-    rank: np.ndarray,
-    n_vertices: int,
+    eligible: np.ndarray,
+    row_starts: np.ndarray,
+    capacity: np.ndarray,
     n: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Write the selected entries into the ``(N, n)`` proposal slots."""
-    prop_cols = np.full((n_vertices, n), NO_PARTNER, dtype=INDEX_DTYPE)
-    prop_vals = np.zeros((n_vertices, n), dtype=VALUE_DTYPE)
-    sel = np.flatnonzero(selected)
-    prop_cols[rows[sel], rank[sel]] = cols[sel]
-    prop_vals[rows[sel], rank[sel]] = vals[sel]
-    counts = np.bincount(rows[sel], minlength=n_vertices).astype(INDEX_DTYPE)
-    return prop_cols, prop_vals, counts
+    """The top-``capacity`` eligible entries of each row, in the ``(rows, n)``
+    proposal slots.
+
+    The entries are in the Table 1 order, so a row's ``r``-th eligible entry
+    is its ``r``-th proposal.  ``rows_local`` numbers the rows from 0,
+    ``row_starts`` and ``capacity`` have one entry per row.  Returns the
+    proposal columns, values and per-row counts.
+    """
+    n_rows = capacity.size
+    # seen[p]: eligible entries before position p.  An entry is proposed
+    # when fewer than `capacity` eligible entries of its row precede it,
+    # i.e. seen[p] < seen[row start] + capacity.
+    seen = np.empty(rows_local.size + 1, dtype=INDEX_DTYPE)
+    seen[0] = 0
+    np.cumsum(eligible, out=seen[1:])
+    first = seen[row_starts]
+    sel = np.flatnonzero(eligible & (seen[:-1] < (first + capacity)[rows_local]))
+    sel_rows = rows_local[sel]
+    rank = seen[sel] - first[sel_rows]
+    counts = np.bincount(sel_rows, minlength=n_rows).astype(INDEX_DTYPE)
+    # the selected entries land through their flat row·n + rank index
+    flat = sel_rows * n + rank
+    prop_cols = np.full(n_rows * n, NO_PARTNER, dtype=INDEX_DTYPE)
+    prop_cols[flat] = cols[sel]
+    prop_vals = np.zeros(n_rows * n, dtype=VALUE_DTYPE)
+    prop_vals[flat] = vals[sel]
+    return prop_cols.reshape(n_rows, n), prop_vals.reshape(n_rows, n), counts
 
 
 class PreparedProposer:
@@ -169,7 +167,6 @@ class PreparedProposer:
         self._vals = np.asarray(graph.data, dtype=VALUE_DTYPE)[order]
         # segment extents are unchanged (row is the primary sort key)
         self._row_starts = graph.indptr[:-1]
-        self._row_lengths = graph.row_lengths
         self._n_vertices = graph.n_rows
 
     def propose(
@@ -192,13 +189,8 @@ class PreparedProposer:
             eligible &= charges[rows] != charges[cols]
         eligible &= ~(confirmed[rows] == cols[:, None]).any(axis=1)
 
-        capacity = n - degree
-        rank = _segmented_rank(
-            rows, eligible, self._row_starts, self._row_lengths, n_vertices
-        )
-        selected = eligible & (rank < capacity[rows])
-        return _scatter_proposals(
-            rows, cols, vals, selected, rank, n_vertices, n
+        return _select_proposals(
+            rows, cols, vals, eligible, self._row_starts, n - degree, n
         )
 
 
@@ -329,7 +321,6 @@ class PropositionEngine:
         if n_local > 1:
             np.cumsum(counts[:-1], out=starts[1:])
         self._row_starts = starts
-        self._row_counts = counts
 
     # -- kernels -------------------------------------------------------------
     def propose(
@@ -354,10 +345,8 @@ class PropositionEngine:
         if confirmed.shape != (n_vertices, n):
             raise ShapeError(f"confirmed must have shape {(n_vertices, n)}")
         rows, cols, vals = self._rows, self._cols, self._vals
-        n_local = self.hi - self.lo
         # the contract with compact() makes its degree snapshot current
         degree = self._degree
-        capacity = n - degree
 
         # Under a deferred compaction the buffers carry dead entries; they
         # are masked ineligible here, which leaves the per-row ranks of the
@@ -370,26 +359,9 @@ class PropositionEngine:
             eligible = charges[rows] != charges[cols]
             if self._live is not None:
                 eligible &= self._live
-        # seen[p]: eligible entries before position p.  An entry is proposed
-        # when fewer than `capacity` eligible entries of its row precede it,
-        # i.e. seen[p] < seen[row start] + capacity.
-        seen = np.empty(rows.size + 1, dtype=INDEX_DTYPE)
-        seen[0] = 0
-        np.cumsum(eligible, out=seen[1:])
-        first = seen[self._row_starts]
-        rows_local = self._rows_local
-        sel = np.flatnonzero(eligible & (seen[:-1] < (first + capacity)[rows_local]))
-        sel_rows = rows_local[sel]
-        rank = seen[sel] - first[sel_rows]
-        counts = np.bincount(sel_rows, minlength=n_local).astype(INDEX_DTYPE)
-        # the selected entries land through their flat row·n + rank index
-        flat = sel_rows * n + rank
-        prop_cols = np.full(n_local * n, NO_PARTNER, dtype=INDEX_DTYPE)
-        prop_cols[flat] = cols[sel]
-        prop_cols = prop_cols.reshape(n_local, n)
-        prop_vals = np.zeros(n_local * n, dtype=VALUE_DTYPE)
-        prop_vals[flat] = vals[sel]
-        prop_vals = prop_vals.reshape(n_local, n)
+        prop_cols, prop_vals, counts = _select_proposals(
+            self._rows_local, cols, vals, eligible, self._row_starts, n - degree, n
+        )
         if launch is not None:
             # The pre-sorted frontier makes the selection purely rank-based:
             # the kernel never compares values, so the value array is *not*

@@ -152,7 +152,50 @@ _RESERVED_SPAN_KEYS = frozenset(
 )
 
 
-class Device:
+class _LaunchQueries:
+    """The launch-log queries of :class:`Device` and :class:`DeviceGroup`,
+    written once over ``kernels``: a device's own log, or a group's
+    members' logs concatenated in member order."""
+
+    kernels: list[KernelRecord]
+
+    @property
+    def launch_count(self) -> int:
+        return len(self.kernels)
+
+    def records(self, name_prefix: str | None = None) -> list[KernelRecord]:
+        """All launch records, optionally filtered by name prefix."""
+        if name_prefix is None:
+            return list(self.kernels)
+        return [k for k in self.kernels if k.name.startswith(name_prefix)]
+
+    def total_bytes(self, name_prefix: str | None = None) -> int:
+        return sum(k.bytes_total for k in self.records(name_prefix))
+
+    def total_seconds(self, name_prefix: str | None = None) -> float:
+        return sum(k.seconds for k in self.records(name_prefix))
+
+    def convergence_history(self, name_prefix: str | None = None) -> list[int]:
+        """Active-lane counts of the launches that carry frontier telemetry,
+        in launch order — the convergence curve of a scan (or of the
+        proposition engine, via the ``propose``/``mutualize`` prefixes)."""
+        return [
+            k.active_lanes
+            for k in self.records(name_prefix)
+            if k.active_lanes is not None
+        ]
+
+    def frontier_fractions(self, name_prefix: str | None = None) -> list[float]:
+        """Per-launch frontier occupancy (active / total lanes), in launch
+        order, for the launches that report both counts."""
+        return [
+            f
+            for f in (k.active_fraction for k in self.records(name_prefix))
+            if f is not None
+        ]
+
+
+class Device(_LaunchQueries):
     """A simulated data-parallel device.
 
     Parameters
@@ -257,42 +300,6 @@ class Device:
                     **extra,
                 )
 
-    # -- queries -----------------------------------------------------------
-    @property
-    def launch_count(self) -> int:
-        return len(self.kernels)
-
-    def records(self, name_prefix: str | None = None) -> list[KernelRecord]:
-        """All launch records, optionally filtered by name prefix."""
-        if name_prefix is None:
-            return list(self.kernels)
-        return [k for k in self.kernels if k.name.startswith(name_prefix)]
-
-    def total_bytes(self, name_prefix: str | None = None) -> int:
-        return sum(k.bytes_total for k in self.records(name_prefix))
-
-    def total_seconds(self, name_prefix: str | None = None) -> float:
-        return sum(k.seconds for k in self.records(name_prefix))
-
-    def convergence_history(self, name_prefix: str | None = None) -> list[int]:
-        """Active-lane counts of the launches that carry frontier telemetry,
-        in launch order — the convergence curve of a scan (or of the
-        proposition engine, via the ``propose``/``mutualize`` prefixes)."""
-        return [
-            k.active_lanes
-            for k in self.records(name_prefix)
-            if k.active_lanes is not None
-        ]
-
-    def frontier_fractions(self, name_prefix: str | None = None) -> list[float]:
-        """Per-launch frontier occupancy (active / total lanes), in launch
-        order, for the launches that report both counts."""
-        return [
-            f
-            for f in (k.active_fraction for k in self.records(name_prefix))
-            if f is not None
-        ]
-
     def reset(self) -> None:
         self.kernels.clear()
 
@@ -300,7 +307,7 @@ class Device:
         return f"Device(name={self.name!r}, launches={self.launch_count})"
 
 
-class DeviceGroup:
+class DeviceGroup(_LaunchQueries):
     """N simulated devices plus the interconnect between them.
 
     Passed to an engine as ``device=``, the group runs each vertex-range
@@ -311,11 +318,12 @@ class DeviceGroup:
     (:func:`repro.device.trace.summarize` aggregates per device *and* as a
     group total).
 
-    The group duck-types the query surface of a single :class:`Device`
+    The group shares the query surface of a single :class:`Device`
     (``launch_count``, ``records``, ``total_bytes``, ``total_seconds``,
-    ``convergence_history``, ``frontier_fractions``, ``reset``) by
-    aggregating over its members, so run-report builders and renderers
-    accept a group wherever they accept a device.
+    ``convergence_history``, ``frontier_fractions``) over :attr:`kernels`,
+    its members' records in member order, and ``reset`` clears every
+    member, so run-report builders and renderers accept a group wherever
+    they accept a device.
     """
 
     def __init__(
@@ -347,41 +355,13 @@ class DeviceGroup:
     def __iter__(self) -> Iterator[Device]:
         return iter(self.devices)
 
-    # -- aggregate queries (Device duck-type) ------------------------------
+    # -- aggregate queries ---------------------------------------------------
     @property
     def kernels(self) -> list[KernelRecord]:
         """All members' launch records, in member order."""
         out: list[KernelRecord] = []
         for dev in self.devices:
             out.extend(dev.kernels)
-        return out
-
-    @property
-    def launch_count(self) -> int:
-        return sum(dev.launch_count for dev in self.devices)
-
-    def records(self, name_prefix: str | None = None) -> list[KernelRecord]:
-        out: list[KernelRecord] = []
-        for dev in self.devices:
-            out.extend(dev.records(name_prefix))
-        return out
-
-    def total_bytes(self, name_prefix: str | None = None) -> int:
-        return sum(dev.total_bytes(name_prefix) for dev in self.devices)
-
-    def total_seconds(self, name_prefix: str | None = None) -> float:
-        return sum(dev.total_seconds(name_prefix) for dev in self.devices)
-
-    def convergence_history(self, name_prefix: str | None = None) -> list[int]:
-        out: list[int] = []
-        for dev in self.devices:
-            out.extend(dev.convergence_history(name_prefix))
-        return out
-
-    def frontier_fractions(self, name_prefix: str | None = None) -> list[float]:
-        out: list[float] = []
-        for dev in self.devices:
-            out.extend(dev.frontier_fractions(name_prefix))
         return out
 
     def per_device_launches(self) -> dict[str, int]:

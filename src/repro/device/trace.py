@@ -76,9 +76,7 @@ def _kernel_records(source) -> list[KernelRecord]:
     — the attributes written by :meth:`Device.launch` carry the same
     fields), or any iterable of records.
     """
-    if isinstance(source, DeviceGroup):
-        return list(source.kernels)
-    if isinstance(source, Device):
+    if isinstance(source, (Device, DeviceGroup)):
         return list(source.kernels)
     if hasattr(source, "spans"):
         fixed = {"seconds", "bytes_read", "bytes_written", "active_lanes", "total_lanes", "error"}

@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -84,7 +85,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .._validation import check_square
+from .._validation import _is_flag, _is_integral, _is_real, check_square
 from ..batch import extract_linear_forest_batch
 from ..core import ParallelFactorConfig, coverage, extract_linear_forest, parallel_factor
 from ..core.delta import EditBatch, apply_edits, apply_edits_to_matrix
@@ -92,14 +93,8 @@ from ..device import Device
 from ..errors import ConfigError
 from ..graphs import SUITE, build_matrix
 from ..obs import Aggregator, MetricsRegistry, TelemetrySchedule
-from ..solvers import (
-    AlgTriBlockPrecond,
-    AlgTriScalPrecond,
-    IdentityPrecond,
-    JacobiPrecond,
-    TriScalPrecond,
-    bicgstab,
-)
+from ..solvers import bicgstab
+from ..solvers.preconditioners import _PRECONDITIONERS, _paper_solution
 from ..sparse import CSRMatrix, matrix_digest, prepare_graph, read_matrix_market
 from .result_cache import ResultCache, canonical_json
 from .session import RequestSession
@@ -116,14 +111,6 @@ __all__ = [
 
 #: Schema tag of the request/response protocol.
 PROTOCOL = "repro.serve/v1"
-
-_PRECONDITIONERS = {
-    "none": IdentityPrecond,
-    "jacobi": JacobiPrecond,
-    "triscal": TriScalPrecond,
-    "algtriscal": AlgTriScalPrecond,
-    "algtriblock": AlgTriBlockPrecond,
-}
 
 #: Canonical config keys per op, with the CLI's defaults.  The canonical
 #: form (defaults overlaid with the request's overrides) is what gets
@@ -155,8 +142,12 @@ def canonical_config(op: str, overrides) -> dict:
 
     Unknown keys are a :class:`~repro.errors.ConfigError` naming the valid
     set — a typo must fail loudly, not silently key a fresh cache entry.
-    Values are coerced to the default's type so ``5`` and ``5.0`` digest
-    identically where the semantics are identical.
+    Values are refused, never converted, when they are not of the default's
+    kind: an integer field takes an integral, non-boolean number (``5.0``
+    keys as ``5``), a float field a finite, non-boolean number, a boolean
+    field a boolean and a string field a string; every ``rhs`` entry is a
+    finite number.  The :class:`~repro.errors.ConfigError` names the field
+    and the value.
     """
     defaults = _CONFIG_DEFAULTS.get(op)
     if defaults is None:
@@ -176,22 +167,21 @@ def canonical_config(op: str, overrides) -> dict:
     cfg = dict(defaults)
     for key, value in overrides.items():
         default = defaults[key]
-        try:
-            if isinstance(default, bool):
-                if not isinstance(value, bool):
-                    raise TypeError
-            elif isinstance(default, int):
-                value = int(value)
-            elif isinstance(default, float):
-                value = float(value)
-            elif isinstance(default, str):
-                value = str(value)
-        except (TypeError, ValueError):
+        if isinstance(default, bool):
+            ok, what = _is_flag(value), "a boolean"
+        elif isinstance(default, int):
+            ok, what = _is_integral(value), "an integer"
+        elif isinstance(default, float):
+            ok, what = _is_finite_real(value), "a finite number"
+        elif isinstance(default, str):
+            ok, what = isinstance(value, str), "a string"
+        else:  # rhs, checked below
+            ok, what = True, ""
+        if not ok:
             raise ConfigError(
-                f"request config {key}={value!r} for op {op!r} is not a valid "
-                f"{type(default).__name__}"
-            ) from None
-        cfg[key] = value
+                f"request config {key}={value!r} for op {op!r} is not {what}"
+            )
+        cfg[key] = value if default is None else type(default)(value)
     if op == "solve":
         spec = cfg["preconditioner"]
         if spec not in _PRECONDITIONERS:
@@ -202,6 +192,11 @@ def canonical_config(op: str, overrides) -> dict:
         if rhs is not None:
             if not isinstance(rhs, list):
                 raise ConfigError("request config 'rhs' must be a JSON array of numbers")
+            for i, v in enumerate(rhs):
+                if not _is_finite_real(v):
+                    raise ConfigError(
+                        f"request config rhs[{i}]={v!r} is not a finite number"
+                    )
             cfg["rhs"] = [float(v) for v in rhs]
     return cfg
 
@@ -217,6 +212,37 @@ def request_key(op: str, a: CSRMatrix, cfg: dict) -> str:
     return f"{op}:in={matrix_digest(a)}:cfg={config_digest(cfg)}"
 
 
+def _is_finite_real(x) -> bool:
+    """A finite, non-boolean number that a float holds."""
+    try:
+        return _is_real(x) and math.isfinite(x)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _inline_array(spec: dict, key: str, dtype) -> np.ndarray:
+    """An inline CSR array, checked as the array NumPy infers from the list.
+
+    Booleans, strings and mixed lists are refused, never converted, and an
+    index array (integer ``dtype``) must hold integral values.  NumPy makes
+    the ``true`` of ``[1.0, true]`` a number, so that list passes.
+    """
+    arr = np.asarray(spec[key])
+    if arr.dtype.kind not in "iuf":
+        what = {"b": "booleans", "U": "strings"}.get(arr.dtype.kind, f"{arr.dtype} values")
+        raise ConfigError(
+            f"inline csr {key} holds {what}, not numbers: {arr.ravel()[:3].tolist()!r}"
+        )
+    if arr.dtype.kind == "f" and np.dtype(dtype).kind == "i":
+        bad = ~((np.abs(arr) < 2.0**63) & (arr == np.trunc(arr)))
+        if bool(bad.any()):
+            k = int(np.flatnonzero(bad.ravel())[0])
+            raise ConfigError(
+                f"inline csr {key}[{k}]={arr.ravel()[k].item()!r} is not an integer"
+            )
+    return np.asarray(arr, dtype=dtype)
+
+
 def load_matrix(spec) -> CSRMatrix:
     """Materialize a request's ``matrix`` spec.
 
@@ -224,10 +250,12 @@ def load_matrix(spec) -> CSRMatrix:
     file; ``{"kind": "suite", "name": ..., "scale": ...}`` builds a bundled
     suite matrix; ``{"kind": "csr", "indptr": ..., "indices": ...,
     "data": ..., "n": ..., "dtype": ...}`` carries the matrix inline.  An
-    inline dtype other than float32/float64, or a non-finite entry in a
-    file or inline matrix, is a :class:`~repro.errors.ConfigError` naming it.
-    A non-square file matrix is a :class:`~repro.errors.ShapeError`: the
-    request key digests the row count but not the column count.
+    inline dtype other than float32/float64, a non-finite entry in a file or
+    inline matrix, a ``scale`` that is not a finite number, an ``n`` that is
+    not an integer, or an inline array that is not numbers
+    (:func:`_inline_array`) is a :class:`~repro.errors.ConfigError` naming
+    it.  A non-square file matrix is a :class:`~repro.errors.ShapeError`:
+    the request key digests the row count but not the column count.
     """
     if not isinstance(spec, dict):
         raise ConfigError("request 'matrix' must be a JSON object with a 'kind'")
@@ -247,18 +275,23 @@ def load_matrix(spec) -> CSRMatrix:
             raise ConfigError(
                 f"unknown suite matrix {name!r} (valid: {sorted(SUITE)})"
             )
-        return build_matrix(name, scale=float(spec.get("scale", 1.0)))
+        scale = spec.get("scale", 1.0)
+        if not _is_finite_real(scale):
+            raise ConfigError(f"suite matrix scale={scale!r} is not a finite number")
+        return build_matrix(name, scale=float(scale))
     elif kind == "csr":
         try:
-            n = int(spec["n"])
+            n = spec["n"]
+            if not _is_integral(n):
+                raise ConfigError(f"inline csr n={n!r} is not an integer")
             dtype = np.dtype(spec.get("dtype", "float64"))
             if dtype not in (np.float32, np.float64):
                 raise ConfigError(f"inline dtype {dtype.name!r} is not float32/float64")
             a = CSRMatrix(
-                indptr=np.asarray(spec["indptr"], dtype=np.int64),
-                indices=np.asarray(spec["indices"], dtype=np.int64),
-                data=np.asarray(spec["data"], dtype=dtype),
-                shape=(n, n),
+                indptr=_inline_array(spec, "indptr", np.int64),
+                indices=_inline_array(spec, "indices", np.int64),
+                data=_inline_array(spec, "data", dtype),
+                shape=(int(n), int(n)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed inline csr matrix: {exc}") from exc
@@ -732,8 +765,7 @@ class ReproServer:
                 )
             x_t = None
         else:
-            # the paper's test problem: x_t[i] = sin(16*pi*i/N)
-            x_t = np.sin(16.0 * np.pi * np.arange(n) / n)
+            x_t = _paper_solution(n)
             b = a.matvec(x_t)
         precond = _PRECONDITIONERS[cfg["preconditioner"]](a)
         res = bicgstab(

@@ -14,7 +14,8 @@ solves the tridiagonal systems at the bandwidth limit of the GPU (their ICPP
 * :mod:`~repro.solvers.coarsen` — [0,1]-factor graph coarsening for the 2×2
   block preconditioner.
 * :mod:`~repro.solvers.preconditioners` — Jacobi, TriScalPrecond,
-  AlgTriScalPrecond and AlgTriBlockPrecond.
+  AlgTriScalPrecond and the block construction: AlgTriBlockPrecond is its
+  depth 1 (2×2 blocks), AlgTriMultiBlockPrecond any depth.
 """
 
 from .amg import AMGLevel, MatchingAMGPrecond, build_hierarchy
@@ -26,10 +27,10 @@ from .lanczos import ConditionEstimate, estimate_condition
 from .block_tridiag import BlockTridiagonalSystem, block_pcr_solve, block_thomas_solve
 from .coarsen import CoarseGraph, coarsen_by_matching
 from .monitor import ConvergenceHistory
-from .multiblock import AlgTriMultiBlockPrecond
 from .smoothers import ColoredGaussSeidel, WeightedJacobi
 from .preconditioners import (
     AlgTriBlockPrecond,
+    AlgTriMultiBlockPrecond,
     AlgTriScalPrecond,
     IdentityPrecond,
     JacobiPrecond,

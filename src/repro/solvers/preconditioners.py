@@ -1,4 +1,4 @@
-"""The four preconditioners of the Figure 4 comparison (Section 6).
+"""The preconditioners of the Figure 4 comparison (Section 6).
 
 * :class:`JacobiPrecond` — diagonal scaling (MAGMA's Jacobi in the paper).
 * :class:`TriScalPrecond` — the tridiagonal part of A in the *original*
@@ -10,6 +10,9 @@
   coarsens the graph, a [0,2]-factor on the coarse graph orders the pairs,
   and unmatched vertices receive an uncoupled ghost equation so the block
   structure stays uniform.
+* :class:`AlgTriMultiBlockPrecond` — the same construction with ``depth``
+  matchings and ``2^depth × 2^depth`` blocks; ``AlgTriBlockPrecond`` is its
+  depth 1.
 
 Every preconditioner exposes ``apply(r) ≈ A⁻¹ r``, a ``coverage`` attribute
 (the weight fraction of A it captures — the quantity Tables 4/5 correlate
@@ -17,6 +20,8 @@ with convergence) and a ``name`` for reporting.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,7 +32,7 @@ from ..core.factor import ParallelFactorConfig, parallel_factor
 from ..core.paths import identify_paths
 from ..core.permutation import forest_permutation
 from ..core.pipeline import extract_linear_forest
-from ..errors import SolverError
+from ..errors import ShapeError, SolverError
 from ..sparse.build import prepare_graph
 from ..sparse.csr import CSRMatrix
 from .block_tridiag import BlockTridiagonalSystem
@@ -36,6 +41,7 @@ from .tridiag import pcr_solve
 
 __all__ = [
     "AlgTriBlockPrecond",
+    "AlgTriMultiBlockPrecond",
     "AlgTriScalPrecond",
     "IdentityPrecond",
     "JacobiPrecond",
@@ -145,6 +151,11 @@ class AlgTriBlockPrecond(Preconditioner):
     a match in the [0,1]-factor, we add an uncoupled ghost equation by
     setting the diagonal and right-hand side value in the corresponding
     additional row to one."*
+
+    This is the block construction at depth 1;
+    :class:`AlgTriMultiBlockPrecond` repeats the matching ``depth`` times.
+    ``matching``, ``coarse``, ``coarse_forest``, ``coarse_paths`` and
+    ``coarse_perm`` describe the last coarsening and the coarse forest.
     """
 
     name = "AlgTriBlockPrecond"
@@ -156,125 +167,158 @@ class AlgTriBlockPrecond(Preconditioner):
         *,
         device=None,
     ):
-        n = check_square(a.shape)
-        base = config or ParallelFactorConfig(n=1)
-        match_config = ParallelFactorConfig(
-            n=1,
-            max_iterations=base.max_iterations,
-            m=base.m,
-            k_m=base.k_m,
-            p=base.p,
-            seed=base.seed,
-        )
-        graph = prepare_graph(a)
-        matching = parallel_factor(graph, match_config, device=device).factor
-        coarse = coarsen_by_matching(graph, matching)
+        self._build(a, 1, config, device)
 
-        pair_config = ParallelFactorConfig(
-            n=2,
-            max_iterations=base.max_iterations,
-            m=base.m,
-            k_m=base.k_m,
-            p=base.p,
-            seed=base.seed,
-        )
-        coarse_factor = parallel_factor(coarse.graph, pair_config, device=device).factor
-        broken = break_cycles(coarse_factor, coarse.graph, device=device)
+    def _build(self, a: CSRMatrix, depth: int, config, device) -> None:
+        n = check_square(a.shape)
+        base = config or ParallelFactorConfig()
+        # members[c]: the fine vertices of coarse vertex c, GHOST-padded to
+        # the aggregate width, which doubles with every matching
+        graph = prepare_graph(a)
+        members = np.arange(n, dtype=INDEX_DTYPE)[:, None]
+        for _ in range(depth):
+            matching = parallel_factor(graph, replace(base, n=1), device=device).factor
+            coarse = coarsen_by_matching(graph, matching)
+            first, second = coarse.aggregates[:, 0], coarse.aggregates[:, 1]
+            width = members.shape[1]
+            merged = np.full((coarse.n_coarse, 2 * width), GHOST, dtype=INDEX_DTYPE)
+            merged[:, :width] = members[first]
+            paired = second != GHOST
+            merged[paired, width:] = members[second[paired]]
+            members, graph = merged, coarse.graph
+
+        # order the coarse vertices along a coarse linear forest
+        coarse_factor = parallel_factor(graph, replace(base, n=2), device=device).factor
+        broken = break_cycles(coarse_factor, graph, device=device)
         paths = identify_paths(broken.forest, device=device)
-        coarse_perm = forest_permutation(paths)
+        perm = forest_permutation(paths)
 
         self.matching = matching
         self.coarse = coarse
         self.coarse_forest = broken.forest
         self.coarse_paths = paths
-        self.coarse_perm = coarse_perm
+        self.coarse_perm = perm
         self._n_fine = n
-
-        # ordered fine slots: block row k holds the fine pair of coarse
-        # vertex coarse_perm[k] (GHOST-padded singletons)
-        slots = coarse.aggregates[coarse_perm]  # (k, 2)
+        # ordered fine slots: block row k holds the members of coarse vertex
+        # perm[k]; consecutive rows couple when they lie on one path
+        slots = members[perm]
         self._slots = slots
-        ordered_path_id = paths.path_id[coarse_perm]
-        coupled = np.zeros(coarse.n_coarse, dtype=bool)
-        if coarse.n_coarse > 1:
-            coupled[1:] = ordered_path_id[1:] == ordered_path_id[:-1]
-        self._system = self._extract_blocks(a, slots, coupled)
-        self.coverage = self._block_coverage(a, slots, coupled)
-
-    # -- construction helpers ------------------------------------------------
-    @staticmethod
-    def _gather_safe(a: CSRMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """A[rows, cols] with GHOST (-1) indices yielding 0."""
-        ghost = (rows == GHOST) | (cols == GHOST)
-        out = a.gather(np.where(ghost, 0, rows), np.where(ghost, 0, cols))
-        out[ghost] = 0.0
-        return out
-
-    def _extract_blocks(
-        self, a: CSRMatrix, slots: np.ndarray, coupled: np.ndarray
-    ) -> BlockTridiagonalSystem:
-        k = slots.shape[0]
-        diag = np.zeros((k, 2, 2), dtype=VALUE_DTYPE)
-        sub = np.zeros((k, 2, 2), dtype=VALUE_DTYPE)
-        for r in (0, 1):
-            for c in (0, 1):
-                diag[:, r, c] = self._gather_safe(a, slots[:, r], slots[:, c])
-        # ghost equations: decoupled unit diagonal
-        ghost = slots[:, 1] == GHOST
-        diag[ghost, 1, 1] = 1.0
-        if k > 1:
-            for r in (0, 1):
-                for c in (0, 1):
-                    vals = self._gather_safe(a, slots[1:, r], slots[:-1, c])
-                    sub[1:, r, c] = np.where(coupled[1:], vals, 0.0)
-        sup = np.zeros_like(sub)
-        if k > 1:
-            for r in (0, 1):
-                for c in (0, 1):
-                    vals = self._gather_safe(a, slots[:-1, r], slots[1:, c])
-                    sup[:-1, r, c] = np.where(coupled[1:], vals, 0.0)
-        return BlockTridiagonalSystem(sub=sub, diag=diag, sup=sup)
-
-    def _block_coverage(
-        self, a: CSRMatrix, slots: np.ndarray, coupled: np.ndarray
-    ) -> float:
-        """Weight fraction of A captured by the block tridiagonal pattern."""
-        total = graph_weight(a)
-        if total == 0.0:
-            return 0.0
-        pairs_u: list[np.ndarray] = []
-        pairs_v: list[np.ndarray] = []
-        # intra-pair couplings
-        matched = slots[:, 1] != GHOST
-        pairs_u.append(slots[matched, 0])
-        pairs_v.append(slots[matched, 1])
-        # couplings between consecutive coupled block rows
-        idx = np.flatnonzero(coupled)
-        for r in (0, 1):
-            for c in (0, 1):
-                u = slots[idx - 1, c]
-                v = slots[idx, r]
-                ok = (u != GHOST) & (v != GHOST)
-                pairs_u.append(u[ok])
-                pairs_v.append(v[ok])
-        u = np.concatenate(pairs_u)
-        v = np.concatenate(pairs_v)
-        if u.size == 0:
-            return 0.0
-        w = (np.abs(a.gather(u, v)) + np.abs(a.gather(v, u))) / 2.0
-        return float(w.sum()) / total
+        ordered_path_id = paths.path_id[perm]
+        coupled = np.zeros(slots.shape[0], dtype=bool)
+        coupled[1:] = ordered_path_id[1:] == ordered_path_id[:-1]
+        self._system = _extract_blocks(a, slots, coupled)
+        self.coverage = _block_coverage(a, slots, coupled)
 
     @property
     def system(self) -> BlockTridiagonalSystem:
         return self._system
 
-    # -- application ------------------------------------------------
     def apply(self, r: np.ndarray) -> np.ndarray:
         slots = self._slots
-        rhs = np.zeros((slots.shape[0], 2), dtype=VALUE_DTYPE)
+        rhs = np.zeros(slots.shape, dtype=VALUE_DTYPE)
         valid = slots != GHOST
         rhs[valid] = np.asarray(r, dtype=VALUE_DTYPE)[slots[valid]]
-        x = self._system.solve(rhs.reshape(-1)).reshape(slots.shape[0], 2)
+        x = self._system.solve(rhs.reshape(-1)).reshape(slots.shape)
         z = np.zeros(self._n_fine, dtype=VALUE_DTYPE)
         z[slots[valid]] = x[valid]
         return z
+
+
+class AlgTriMultiBlockPrecond(AlgTriBlockPrecond):
+    """Algebraic block tridiagonal preconditioner with 2^depth blocks.
+
+    Section 6 hints at the general construction ("recursive [0,n]-factor
+    computations on the coarser graphs"): ``depth`` successive parallel
+    matchings aggregate up to ``2^depth`` fine vertices per coarse vertex,
+    and the extracted system has ``2^depth × 2^depth`` ghost-padded blocks,
+    solved with the generalized block PCR.  ``depth = 1`` is
+    :class:`AlgTriBlockPrecond`.  Larger blocks capture more weight per
+    block row at cubically growing block-solve cost.
+    """
+
+    def __init__(
+        self,
+        a: CSRMatrix,
+        *,
+        depth: int = 2,
+        config: ParallelFactorConfig | None = None,
+        device=None,
+    ):
+        if depth < 1:
+            raise ShapeError(f"depth must be >= 1, got {depth}")
+        self.name = f"AlgTriMultiBlockPrecond(depth={depth})"
+        self.depth = depth
+        self._build(a, depth, config, device)
+
+    @property
+    def block_size(self) -> int:
+        return self._system.block_size
+
+
+#: The preconditioners by the name that ``repro solve --preconditioner`` and
+#: the serve ``solve`` config choose them by.
+_PRECONDITIONERS = {
+    "none": IdentityPrecond,
+    "jacobi": JacobiPrecond,
+    "triscal": TriScalPrecond,
+    "algtriscal": AlgTriScalPrecond,
+    "algtriblock": AlgTriBlockPrecond,
+}
+
+
+def _paper_solution(n: int) -> np.ndarray:
+    """The paper's test solution ``x_t[i] = sin(16πi/N)``."""
+    return np.sin(16.0 * np.pi * np.arange(n) / n)
+
+
+def _gather_safe(a: CSRMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """A[rows, cols] with GHOST (-1) indices yielding 0."""
+    ghost = (rows == GHOST) | (cols == GHOST)
+    out = a.gather(np.where(ghost, 0, rows), np.where(ghost, 0, cols))
+    out[ghost] = 0.0
+    return out
+
+
+def _extract_blocks(
+    a: CSRMatrix, slots: np.ndarray, coupled: np.ndarray
+) -> BlockTridiagonalSystem:
+    k, block = slots.shape
+    diag = np.zeros((k, block, block), dtype=VALUE_DTYPE)
+    sub = np.zeros_like(diag)
+    sup = np.zeros_like(diag)
+    for r in range(block):
+        for c in range(block):
+            diag[:, r, c] = _gather_safe(a, slots[:, r], slots[:, c])
+            if k > 1:
+                vals = _gather_safe(a, slots[1:, r], slots[:-1, c])
+                sub[1:, r, c] = np.where(coupled[1:], vals, 0.0)
+                vals = _gather_safe(a, slots[:-1, r], slots[1:, c])
+                sup[:-1, r, c] = np.where(coupled[1:], vals, 0.0)
+    # ghost equations: decoupled unit diagonal
+    ghost_rows, ghost_slots = np.nonzero(slots == GHOST)
+    diag[ghost_rows, ghost_slots, ghost_slots] = 1.0
+    return BlockTridiagonalSystem(sub=sub, diag=diag, sup=sup)
+
+
+def _block_coverage(a: CSRMatrix, slots: np.ndarray, coupled: np.ndarray) -> float:
+    """Weight fraction of A captured by the block tridiagonal pattern.
+
+    Every coupling is gathered in one pass and summed once: the intra-block
+    pairs (each unordered pair once), then the pairs between consecutive
+    coupled block rows.
+    """
+    total = graph_weight(a)
+    if total == 0.0:
+        return 0.0
+    block = slots.shape[1]
+    idx = np.flatnonzero(coupled)
+    pairs = [(slots[:, r], slots[:, c]) for r in range(block) for c in range(r + 1, block)]
+    pairs += [(slots[idx - 1, c], slots[idx, r]) for r in range(block) for c in range(block)]
+    u = np.concatenate([p for p, _ in pairs])
+    v = np.concatenate([q for _, q in pairs])
+    ok = (u != GHOST) & (v != GHOST)
+    u, v = u[ok], v[ok]
+    if u.size == 0:
+        return 0.0
+    w = (np.abs(a.gather(u, v)) + np.abs(a.gather(v, u))) / 2.0
+    return float(w.sum()) / total
