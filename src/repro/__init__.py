@@ -76,7 +76,6 @@ from .core import (
     parallel_factor,
 )
 from .errors import (
-    ConvergenceError,
     FactorError,
     FormatError,
     PathError,
@@ -92,7 +91,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BatchResult",
     "CSRMatrix",
-    "ConvergenceError",
     "DeltaResult",
     "DeltaStats",
     "EditBatch",

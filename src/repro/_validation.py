@@ -38,16 +38,14 @@ def as_index_array(a, *, name: str = "array") -> np.ndarray:
     return out
 
 
-def as_value_array(a, *, name: str = "array", dtype=None) -> np.ndarray:
+def as_value_array(a, *, name: str = "array") -> np.ndarray:
     """Return ``a`` as a contiguous floating 1-D array.
 
-    With ``dtype=None`` (default) float32 input stays float32 — the paper
-    benchmarks in single precision — and everything else is coerced to
-    float64.
+    float32 input stays float32 — the paper benchmarks in single
+    precision — and everything else is coerced to float64.
     """
-    if dtype is None:
-        src = np.asarray(a)
-        dtype = np.float32 if src.dtype == np.float32 else VALUE_DTYPE
+    src = np.asarray(a)
+    dtype = np.float32 if src.dtype == np.float32 else VALUE_DTYPE
     out = np.ascontiguousarray(a, dtype=dtype)
     require(out.ndim == 1, f"{name} must be one-dimensional, got ndim={out.ndim}")
     return out
@@ -72,9 +70,9 @@ def _is_flag(x) -> bool:
     return isinstance(x, (bool, np.bool_))
 
 
-def check_square(shape: tuple[int, int], *, name: str = "matrix") -> int:
+def check_square(shape: tuple[int, int]) -> int:
     """Validate that ``shape`` is square and return its order."""
-    require(len(shape) == 2, f"{name} must be two-dimensional, got shape={shape}")
+    require(len(shape) == 2, f"matrix must be two-dimensional, got shape={shape}")
     n_rows, n_cols = shape
-    require(n_rows == n_cols, f"{name} must be square, got shape={shape}")
+    require(n_rows == n_cols, f"matrix must be square, got shape={shape}")
     return int(n_rows)

@@ -336,14 +336,12 @@ def _render_snapshot_tables(snap: dict) -> str:
 
 
 # -- diffing ----------------------------------------------------------------
-def diff_metrics(
-    a: dict, b: dict, *, threshold: float = 0.25, epsilon: float = 1e-12
-) -> dict:
+def diff_metrics(a: dict, b: dict, *, threshold: float = 0.25) -> dict:
     """Compare two flattened metric dicts (``a`` = baseline, ``b`` = new).
 
     Returns ``{"rows": [...], "regressions": [...], "only_a": [...],
     "only_b": [...]}``.  A row is ``(name, a, b, rel_change, direction,
-    flagged)`` with ``rel_change = (b - a) / max(|a|, epsilon)``.  A metric
+    flagged)`` with ``rel_change = (b - a) / max(|a|, 1e-12)``.  A metric
     is flagged as a regression when its relative change exceeds
     ``threshold`` *in its bad direction* (see :func:`metric_direction`);
     neutral metrics are reported but never flagged.
@@ -354,7 +352,7 @@ def diff_metrics(
     regressions = []
     for name in sorted(set(a) & set(b)):
         va, vb = a[name], b[name]
-        rel = (vb - va) / max(abs(va), epsilon)
+        rel = (vb - va) / max(abs(va), 1e-12)
         direction = metric_direction(name)
         flagged = False
         if direction == -1 and rel > threshold:

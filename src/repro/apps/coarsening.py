@@ -46,14 +46,12 @@ class CoarseningLevel:
         return (self.n_fine - singles) / max(self.n_fine, 1)
 
 
-def directional_coarsening(
-    a: CSRMatrix,
-    *,
-    levels: int = 3,
-    config: ParallelFactorConfig | None = None,
-) -> list[CoarseningLevel]:
-    """Repeatedly match-and-aggregate along the strongest couplings."""
-    config = config or ParallelFactorConfig(n=1, max_iterations=8, m=5, k_m=0)
+def directional_coarsening(a: CSRMatrix, *, levels: int = 3) -> list[CoarseningLevel]:
+    """Repeatedly match-and-aggregate along the strongest couplings.
+
+    Each level's matching is a [0,1]-factor with M = 8, m = 5 and k_m = 0.
+    """
+    config = ParallelFactorConfig(n=1, max_iterations=8, m=5, k_m=0)
     out: list[CoarseningLevel] = []
     graph = prepare_graph(a)
     for _ in range(levels):

@@ -77,17 +77,16 @@ class SuperstringResult:
         return len(self.superstring)
 
 
-def assemble_superstring(
-    overlap: OverlapGraph,
-    config: ParallelFactorConfig | None = None,
-) -> SuperstringResult:
+def assemble_superstring(overlap: OverlapGraph) -> SuperstringResult:
     """Chain the reads along a maximum-weight linear forest and merge.
 
+    The forest comes from a [0,2]-factor with M = 10 proposition rounds.
     Every read appears as a substring of the result exactly once; chains are
     concatenated in path-id order.
     """
-    config = config or ParallelFactorConfig(n=2, max_iterations=10)
-    result = extract_linear_forest(overlap.graph, config)
+    result = extract_linear_forest(
+        overlap.graph, ParallelFactorConfig(n=2, max_iterations=10)
+    )
     info = result.paths
     ov = overlap.directed_overlaps
     reads = overlap.reads

@@ -27,12 +27,12 @@ __all__ = ["color_graph", "is_valid_coloring"]
 UNCOLORED = -1
 
 
-def color_graph(graph: CSRMatrix, *, seed: int = 0, max_rounds: int | None = None) -> np.ndarray:
+def color_graph(graph: CSRMatrix, *, seed: int = 0) -> np.ndarray:
     """Color the (symmetric-pattern) graph of ``graph``; returns colors ≥ 0.
 
-    The diagonal is ignored.  ``max_rounds`` defaults to a generous bound;
-    exceeding it raises (it would indicate a priority-tie livelock, which
-    the id tie-break prevents).
+    The diagonal is ignored.  The round bound is generous; exceeding it
+    raises (it would indicate a priority-tie livelock, which the id
+    tie-break prevents).
     """
     n = check_square(graph.shape)
     rows = graph.nnz_rows
@@ -46,7 +46,7 @@ def color_graph(graph: CSRMatrix, *, seed: int = 0, max_rounds: int | None = Non
     priority |= ids.astype(np.uint64)
 
     colors = np.full(n, UNCOLORED, dtype=INDEX_DTYPE)
-    max_rounds = max_rounds or 4 * int(np.ceil(np.log2(max(n, 2)))) + 8
+    max_rounds = 4 * int(np.ceil(np.log2(max(n, 2)))) + 8
     # upper bound on colors: max degree + 1
     max_degree = int(graph.row_lengths.max(initial=0))
     n_colors_cap = max_degree + 1

@@ -31,24 +31,16 @@ from .structures import Factor
 __all__ = ["BrokenCycles", "break_cycles", "detect_cycles"]
 
 
-def detect_cycles(
-    factor: Factor,
-    *,
-    device: Device | None = None,
-    scan_result: ScanResult | None = None,
-    compaction=None,
-) -> np.ndarray:
+def detect_cycles(factor: Factor, *, scan_result: ScanResult | None = None) -> np.ndarray:
     """Boolean mask of vertices that lie on a cycle of the [0,2]-factor.
 
     ``scan_result`` may be the outcome of *any* completed bidirectional scan
     of ``factor`` (the cycle mask only depends on the lane pointers, not on
-    the payload); when given, no scan is run.  ``compaction`` selects the
-    scan's frontier-compaction policy (see :mod:`repro.core.frontier`).
+    the payload); when given, no scan is run.
     """
     if scan_result is not None:
         return scan_result.cycle_mask
-    scan = BidirectionalScan(factor, device=device, compaction=compaction)
-    return scan.run(NullOperator()).cycle_mask
+    return BidirectionalScan(factor).run(NullOperator()).cycle_mask
 
 
 @dataclass(frozen=True)

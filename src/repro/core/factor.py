@@ -95,6 +95,7 @@ class ParallelFactorConfig:
         require(self.max_iterations >= 1, "max_iterations must be >= 1", ShapeError)
         require(self.m >= 1, f"m must be >= 1, got {self.m}", ShapeError)
         require(0 <= self.k_m < self.m, f"k_m must be in [0, m), got {self.k_m}", ShapeError)
+        require(0.0 <= self.p <= 1.0, f"p must be in [0, 1], got {self.p}", ShapeError)
 
     def charging_enabled(self, k: int) -> bool:
         """Whether vertex charging is active on iteration ``k``."""

@@ -294,16 +294,6 @@ class PropositionEngine:
         return self._n_live
 
     @property
-    def buffer_size(self) -> int:
-        """Physical length of the frontier buffers (live + carried dead)."""
-        return int(self._rows.size)
-
-    @property
-    def is_dirty(self) -> bool:
-        """True when the buffers carry dead entries awaiting compaction."""
-        return self._live is not None
-
-    @property
     def total_edges(self) -> int:
         """The frontier denominator: all nonzeros of the engine's rows."""
         return self._total_edges

@@ -28,7 +28,6 @@ from .costmodel import (
     NVLINK_BANDWIDTH_GBS,
     PropositionTraffic,
     RTX_2080_TI_BANDWIDTH_GBS,
-    halo_traffic,
     proposition_traffic,
     scan_traffic,
     spmv_traffic,
@@ -54,7 +53,6 @@ __all__ = [
     "TimingBreakdown",
     "TransferRecord",
     "default_device",
-    "halo_traffic",
     "proposition_traffic",
     "render_convergence",
     "render_trace",

@@ -30,7 +30,6 @@ __all__ = [
     "PropositionTraffic",
     "RTX_2080_TI_BANDWIDTH_GBS",
     "compaction_cost",
-    "halo_traffic",
     "proposition_traffic",
     "scan_traffic",
     "spmv_traffic",
@@ -91,8 +90,6 @@ def proposition_traffic(
     *,
     k: int = 1,
     charging: bool = True,
-    value_bytes: int = VALUE_BYTES,
-    index_bytes: int = INDEX_BYTES,
 ) -> PropositionTraffic:
     """Global-memory traffic of the edge-proposition kernel (Table 2).
 
@@ -105,46 +102,34 @@ def proposition_traffic(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return PropositionTraffic(
-        csr_values=nnz * value_bytes,
-        csr_col_indices=nnz * index_bytes,
-        csr_row_ptrs=(n_vertices + 1) * index_bytes,
+        csr_values=nnz * VALUE_BYTES,
+        csr_col_indices=nnz * INDEX_BYTES,
+        csr_row_ptrs=(n_vertices + 1) * INDEX_BYTES,
         vertex_charges=n_vertices * BOOL_BYTES if charging else 0,
-        confirmed_edges=n * n_vertices * index_bytes if k > 0 else 0,
-        proposed_edges=n * n_vertices * index_bytes,
-        proposed_edge_weights=n * n_vertices * value_bytes if n == 2 else 0,
+        confirmed_edges=n * n_vertices * INDEX_BYTES if k > 0 else 0,
+        proposed_edges=n * n_vertices * INDEX_BYTES,
+        proposed_edge_weights=n * n_vertices * VALUE_BYTES if n == 2 else 0,
     )
 
 
-def spmv_traffic(
-    n_vertices: int,
-    nnz: int,
-    *,
-    value_bytes: int = VALUE_BYTES,
-    index_bytes: int = INDEX_BYTES,
-) -> int:
+def spmv_traffic(n_vertices: int, nnz: int) -> int:
     """Bytes moved by a plain CSR SpMV ``d = Ax + d``.
 
     Reads: CSR values, column indices, row pointers, the input vector ``x``
     (counted once — perfect caching assumption) and ``d``; writes ``d``.
     """
     reads = (
-        nnz * value_bytes
-        + nnz * index_bytes
-        + (n_vertices + 1) * index_bytes
-        + n_vertices * value_bytes  # x
-        + n_vertices * value_bytes  # d (in)
+        nnz * VALUE_BYTES
+        + nnz * INDEX_BYTES
+        + (n_vertices + 1) * INDEX_BYTES
+        + n_vertices * VALUE_BYTES  # x
+        + n_vertices * VALUE_BYTES  # d (in)
     )
-    writes = n_vertices * value_bytes  # d (out)
+    writes = n_vertices * VALUE_BYTES  # d (out)
     return reads + writes
 
 
-def scan_traffic(
-    n_vertices: int,
-    *,
-    variant: str = "paths",
-    value_bytes: int = VALUE_BYTES,
-    index_bytes: int = INDEX_BYTES,
-) -> int:
+def scan_traffic(n_vertices: int, *, variant: str = "paths") -> int:
     """Bytes moved by one bidirectional-scan launch (Section 4.2).
 
     ``variant="paths"`` reads/writes the stride-q neighbours and the path
@@ -153,9 +138,9 @@ def scan_traffic(
     """
     lanes = 2
     if variant == "paths":
-        per_vertex = lanes * (index_bytes + index_bytes)  # q and r
+        per_vertex = lanes * (INDEX_BYTES + INDEX_BYTES)  # q and r
     elif variant == "cycles":
-        per_vertex = lanes * (index_bytes + value_bytes + 2 * index_bytes)
+        per_vertex = lanes * (INDEX_BYTES + VALUE_BYTES + 2 * INDEX_BYTES)
     else:
         raise ValueError(f"unknown scan variant {variant!r}")
     # Ping-pong: read the back buffer of self + gather of the stride-q
@@ -219,29 +204,6 @@ def compaction_cost(
     gather = (total + live) * gather_element_bytes
     carried = dead * dead_element_bytes * max(0, rounds_remaining)
     return CompactionCost(gather_bytes=int(gather), dead_lane_bytes=int(carried))
-
-
-def halo_traffic(
-    boundary_vertices: int,
-    *,
-    n: int = 2,
-    charging: bool = True,
-    value_bytes: int = VALUE_BYTES,
-    index_bytes: int = INDEX_BYTES,
-) -> int:
-    """Modeled interconnect bytes of one sharded proposition round.
-
-    For every vertex on the partition boundary the proposing shard pulls the
-    owner's degree (one index) and — on charged rounds — its charge flag;
-    mutualization then pulls the remote proposal row (``n`` indices).  This
-    is the a-priori analogue of the *measured* halo the sharded engine meters
-    on the :class:`~repro.device.interconnect.Interconnect`; the measured
-    number is smaller whenever boundary edges retire early.
-    """
-    if boundary_vertices < 0:
-        raise ValueError("boundary_vertices must be non-negative")
-    per_vertex = index_bytes + (BOOL_BYTES if charging else 0) + n * index_bytes
-    return boundary_vertices * per_vertex
 
 
 @dataclass(frozen=True)

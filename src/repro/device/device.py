@@ -326,23 +326,12 @@ class DeviceGroup(_LaunchQueries):
     they accept a device.
     """
 
-    def __init__(
-        self,
-        n_devices: int,
-        *,
-        name: str = "gpu-group",
-        record: bool = True,
-        tracer: Tracer | None = None,
-        device_prefix: str = "gpu",
-    ):
+    def __init__(self, n_devices: int, *, record: bool = True):
         if int(n_devices) < 1:
             raise ValueError(f"a device group needs >= 1 devices, got {n_devices}")
-        self.name = name
+        self.name = "gpu-group"
         self.record = record
-        self.devices = [
-            Device(f"{device_prefix}{i}", record=record, tracer=tracer)
-            for i in range(int(n_devices))
-        ]
+        self.devices = [Device(f"gpu{i}", record=record) for i in range(int(n_devices))]
         self.interconnect = Interconnect(record=record)
 
     # -- container protocol ------------------------------------------------

@@ -45,15 +45,12 @@ class Interconnect:
 
     Parameters
     ----------
-    name:
-        Purely informational label (shows up in :func:`render_trace`).
     record:
         When ``False`` all bookkeeping is skipped (mirroring
         ``Device(record=False)``); transfers become no-ops.
     """
 
-    def __init__(self, name: str = "interconnect", record: bool = True):
-        self.name = name
+    def __init__(self, record: bool = True):
         self.record = record
         self.transfers: list[TransferRecord] = []
 
@@ -122,6 +119,6 @@ class Interconnect:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Interconnect(name={self.name!r}, transfers={self.transfer_count}, "
+            f"Interconnect(transfers={self.transfer_count}, "
             f"bytes={self.total_bytes()})"
         )

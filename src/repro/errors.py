@@ -35,6 +35,3 @@ class PathError(ReproError):
 class SolverError(ReproError):
     """An iterative or direct solver failed (breakdown, singular pivot, ...)."""
 
-
-class ConvergenceError(SolverError):
-    """An iterative solver did not reach the requested tolerance."""

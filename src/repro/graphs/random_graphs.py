@@ -26,19 +26,15 @@ __all__ = [
 ]
 
 
-def random_weighted_graph(
-    n: int,
-    n_edges: int,
-    rng: np.random.Generator,
-    *,
-    weight_low: float = 0.1,
-    weight_high: float = 1.0,
-) -> CSRMatrix:
-    """A random simple undirected weighted graph (duplicates collapse)."""
+def random_weighted_graph(n: int, n_edges: int, rng: np.random.Generator) -> CSRMatrix:
+    """A random simple undirected weighted graph (duplicates collapse).
+
+    Weights are uniform on [0.1, 1.0).
+    """
     u = rng.integers(0, n, n_edges)
     v = rng.integers(0, n, n_edges)
     keep = u != v
-    w = rng.uniform(weight_low, weight_high, int(keep.sum()))
+    w = rng.uniform(0.1, 1.0, int(keep.sum()))
     return from_edges(n, u[keep], v[keep], w)
 
 
@@ -133,10 +129,12 @@ def random_02_factor(
     rng: np.random.Generator,
     *,
     cycle_fraction: float = 0.4,
-    max_component: int | None = None,
 ) -> GroundTruthFactor:
-    """A random [0,2]-factor mixing paths and cycles (cycles need ≥ 3)."""
-    max_component = max_component or max(3, n // 3)
+    """A random [0,2]-factor mixing paths and cycles (cycles need ≥ 3).
+
+    No component is longer than ``max(3, n // 3)`` vertices.
+    """
+    max_component = max(3, n // 3)
     vertices = rng.permutation(n).astype(INDEX_DTYPE)
     paths: list[list[int]] = []
     cycles: list[list[int]] = []
@@ -150,15 +148,14 @@ def random_02_factor(
 
 
 def random_spd_system(
-    n: int,
-    rng: np.random.Generator,
-    *,
-    density_edges: int | None = None,
+    n: int, rng: np.random.Generator
 ) -> tuple[CSRMatrix, np.ndarray, np.ndarray]:
-    """A random diagonally dominant SPD matrix, a solution, and its rhs."""
-    n_edges = density_edges or 3 * n
-    u = rng.integers(0, n, n_edges)
-    v = rng.integers(0, n, n_edges)
+    """A random diagonally dominant SPD matrix, a solution, and its rhs.
+
+    The off-diagonal pattern comes from 3n random edge draws.
+    """
+    u = rng.integers(0, n, 3 * n)
+    v = rng.integers(0, n, 3 * n)
     keep = u != v
     u, v = u[keep], v[keep]
     w = -rng.uniform(0.1, 1.0, u.size)

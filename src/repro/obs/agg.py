@@ -127,13 +127,7 @@ class TailSampler:
     the lifetime totals either way.
     """
 
-    def __init__(
-        self,
-        slow_fraction: float = 0.05,
-        capacity: int = 32,
-        *,
-        reservoir_seed: int = 2022,
-    ):
+    def __init__(self, slow_fraction: float = 0.05, capacity: int = 32):
         if not 0.0 <= slow_fraction <= 1.0:
             raise ValueError(
                 f"slow fraction must be in [0, 1], got {slow_fraction}"
@@ -142,9 +136,7 @@ class TailSampler:
             raise ValueError(f"trace capacity cannot be negative: {capacity}")
         self.slow_fraction = float(slow_fraction)
         self.capacity = int(capacity)
-        self._latency = Histogram(
-            "sampler.success_latency", reservoir_seed=reservoir_seed
-        )
+        self._latency = Histogram("sampler.success_latency", reservoir_seed=2022)
         self.retained: deque = deque(maxlen=capacity if capacity else 1)
         self.retained_errored = 0
         self.retained_slow = 0
@@ -198,20 +190,18 @@ class Aggregator:
         *,
         clock=None,
         window_seconds: float = 60.0,
-        window_buckets: int = 12,
         slow_trace_fraction: float = 0.05,
-        trace_capacity: int = 32,
     ):
         self.clock = clock if clock is not None else monotonic_clock
         self._lock = threading.Lock()
         self.started = self.clock()
         self._ops: dict[str, dict] = {}  # op -> {count, errors, latency}
         self._windows = {
-            name: RollingCounter(window_seconds, window_buckets)
+            name: RollingCounter(window_seconds)
             for name in WINDOW_COUNTERS
         }
         self.window_seconds = float(window_seconds)
-        self.sampler = TailSampler(slow_trace_fraction, trace_capacity)
+        self.sampler = TailSampler(slow_trace_fraction)
         self._totals = {name: 0 for name in WINDOW_COUNTERS}
         self._last_evictions: float = 0
         self._fresh_traces: deque = deque()  # drained by the telemetry log

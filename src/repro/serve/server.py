@@ -90,7 +90,7 @@ from ..batch import extract_linear_forest_batch
 from ..core import ParallelFactorConfig, coverage, extract_linear_forest, parallel_factor
 from ..core.delta import EditBatch, apply_edits, apply_edits_to_matrix
 from ..device import Device
-from ..errors import ConfigError
+from ..errors import ConfigError, ShapeError
 from ..graphs import SUITE, build_matrix
 from ..obs import Aggregator, MetricsRegistry, TelemetrySchedule
 from ..solvers import bicgstab
@@ -146,8 +146,10 @@ def canonical_config(op: str, overrides) -> dict:
     kind: an integer field takes an integral, non-boolean number (``5.0``
     keys as ``5``), a float field a finite, non-boolean number, a boolean
     field a boolean and a string field a string; every ``rhs`` entry is a
-    finite number.  The :class:`~repro.errors.ConfigError` names the field
-    and the value.
+    finite number.  Values are also refused when out of range: the factor
+    fields must build a :class:`~repro.core.factor.ParallelFactorConfig`,
+    and a ``solve`` needs ``max_iterations >= 0`` and ``tol > 0``.  The
+    :class:`~repro.errors.ConfigError` names the field and the value.
     """
     defaults = _CONFIG_DEFAULTS.get(op)
     if defaults is None:
@@ -182,7 +184,25 @@ def canonical_config(op: str, overrides) -> dict:
                 f"request config {key}={value!r} for op {op!r} is not {what}"
             )
         cfg[key] = value if default is None else type(default)(value)
+    try:
+        _config_from(cfg, n=cfg.get("n", 2))
+    except ShapeError as exc:
+        name = str(exc).split()[0]
+        key = "iterations" if name == "max_iterations" else name
+        raise ConfigError(
+            f"request config {key}={cfg[key]!r} for op {op!r} is out of range: {exc}"
+        ) from exc
     if op == "solve":
+        if cfg["max_iterations"] < 0:
+            raise ConfigError(
+                f"request config max_iterations={cfg['max_iterations']!r} for op "
+                "'solve' is out of range: it must be >= 0"
+            )
+        if cfg["tol"] <= 0:
+            raise ConfigError(
+                f"request config tol={cfg['tol']!r} for op 'solve' is out of "
+                "range: it must be > 0"
+            )
         spec = cfg["preconditioner"]
         if spec not in _PRECONDITIONERS:
             raise ConfigError(
@@ -251,8 +271,9 @@ def load_matrix(spec) -> CSRMatrix:
     suite matrix; ``{"kind": "csr", "indptr": ..., "indices": ...,
     "data": ..., "n": ..., "dtype": ...}`` carries the matrix inline.  An
     inline dtype other than float32/float64, a non-finite entry in a file or
-    inline matrix, a ``scale`` that is not a finite number, an ``n`` that is
-    not an integer, or an inline array that is not numbers
+    inline matrix, a ``path`` that is not a non-empty string, a ``name``
+    that names no suite matrix, a ``scale`` that is not a finite number > 0,
+    an ``n`` that is not an integer, or an inline array that is not numbers
     (:func:`_inline_array`) is a :class:`~repro.errors.ConfigError` naming
     it.  A non-square file matrix is a :class:`~repro.errors.ShapeError`:
     the request key digests the row count but not the column count.
@@ -262,8 +283,8 @@ def load_matrix(spec) -> CSRMatrix:
     kind = spec.get("kind")
     if kind == "file":
         path = spec.get("path")
-        if not path:
-            raise ConfigError("matrix kind 'file' requires a 'path'")
+        if not isinstance(path, str) or not path:
+            raise ConfigError(f"matrix file path={path!r} is not a non-empty string")
         try:
             a = read_matrix_market(path)
         except OSError as exc:
@@ -271,13 +292,13 @@ def load_matrix(spec) -> CSRMatrix:
         check_square(a.shape)
     elif kind == "suite":
         name = spec.get("name")
-        if name not in SUITE:
+        if not isinstance(name, str) or name not in SUITE:
             raise ConfigError(
-                f"unknown suite matrix {name!r} (valid: {sorted(SUITE)})"
+                f"unknown suite matrix name={name!r} (valid: {sorted(SUITE)})"
             )
         scale = spec.get("scale", 1.0)
-        if not _is_finite_real(scale):
-            raise ConfigError(f"suite matrix scale={scale!r} is not a finite number")
+        if not (_is_finite_real(scale) and scale > 0):
+            raise ConfigError(f"suite matrix scale={scale!r} is not a finite number > 0")
         return build_matrix(name, scale=float(scale))
     elif kind == "csr":
         try:
@@ -371,8 +392,8 @@ class ServeConfig:
     exposition file rewritten atomically; ``telemetry_interval`` is the
     seconds between periodic emissions; ``slow_trace_fraction`` is the
     successful-request fraction the tail sampler retains (errors are always
-    retained) and ``trace_capacity`` bounds the in-memory retained ring;
-    ``window_seconds`` is the rolling-counter window width.
+    retained).  The sampler keeps at most 32 traces, and the rolling
+    counters span 60 s.
     """
 
     cache_max_bytes: int | None = 64 * 1024 * 1024
@@ -385,8 +406,6 @@ class ServeConfig:
     prom_out: "str | Path | None" = None
     telemetry_interval: float = 10.0
     slow_trace_fraction: float = 0.05
-    trace_capacity: int = 32
-    window_seconds: float = 60.0
 
     def __post_init__(self):
         if self.batch_window < 0:
@@ -405,14 +424,6 @@ class ServeConfig:
             raise ConfigError(
                 f"slow trace fraction must be in [0, 1], got "
                 f"{self.slow_trace_fraction}"
-            )
-        if self.trace_capacity < 0:
-            raise ConfigError(
-                f"trace capacity cannot be negative: {self.trace_capacity}"
-            )
-        if self.window_seconds <= 0:
-            raise ConfigError(
-                f"window seconds must be positive, got {self.window_seconds}"
             )
 
 
@@ -461,10 +472,7 @@ class ReproServer:
         # injectable clock makes latencies (hence quantiles and sampling
         # decisions) deterministic under test
         self.agg = Aggregator(
-            clock=clock,
-            window_seconds=self.config.window_seconds,
-            slow_trace_fraction=self.config.slow_trace_fraction,
-            trace_capacity=self.config.trace_capacity,
+            clock=clock, slow_trace_fraction=self.config.slow_trace_fraction
         )
         self.telemetry = TelemetrySchedule(
             self.stats,

@@ -54,19 +54,16 @@ class AMGLevel:
 
 
 def build_hierarchy(
-    a: CSRMatrix,
-    *,
-    max_levels: int = 10,
-    min_coarse: int = 40,
-    config: ParallelFactorConfig | None = None,
+    a: CSRMatrix, *, max_levels: int = 10, min_coarse: int = 40
 ) -> list[AMGLevel]:
     """Coarsen by parallel matchings until the operator is small.
 
+    Each level's matching is a [0,1]-factor with M = 5, m = 5 and k_m = 0.
     Coarsening stops early when a matching no longer shrinks the graph
     (e.g. an edgeless level).
     """
     check_square(a.shape)
-    base = config or ParallelFactorConfig(n=1, max_iterations=5, m=5, k_m=0)
+    base = ParallelFactorConfig(n=1, max_iterations=5, m=5, k_m=0)
     levels: list[AMGLevel] = []
     current = a
     for _ in range(max_levels - 1):
@@ -99,45 +96,26 @@ class MatchingAMGPrecond(Preconditioner):
     ----------
     a:
         The system matrix (zero-free diagonal required).
-    omega:
-        Weighted-Jacobi damping (default 2/3).
-    n_smooth:
-        Pre- and post-smoothing sweeps per level.
     smoother:
-        ``"jacobi"`` (default) or ``"gauss-seidel"`` — the latter uses
-        multicolor Gauss-Seidel over a Jones-Plassmann coloring
+        ``"jacobi"`` (default, damping 2/3) or ``"gauss-seidel"`` — the
+        latter uses multicolor Gauss-Seidel over a Jones-Plassmann coloring
         (:mod:`repro.solvers.smoothers`), symmetrised (forward pre-sweep,
-        backward post-sweep).
-    config:
-        Charging configuration for the per-level [0,1]-factors.
+        backward post-sweep).  Either smooths once before and once after
+        each coarse-grid correction.
     """
 
     name = "MatchingAMGPrecond"
 
-    def __init__(
-        self,
-        a: CSRMatrix,
-        *,
-        omega: float = 2.0 / 3.0,
-        n_smooth: int = 1,
-        smoother: str = "jacobi",
-        max_levels: int = 10,
-        min_coarse: int = 40,
-        config: ParallelFactorConfig | None = None,
-    ):
+    def __init__(self, a: CSRMatrix, *, smoother: str = "jacobi"):
         if smoother not in ("jacobi", "gauss-seidel"):
             raise SolverError(f"unknown smoother {smoother!r}")
-        self.levels = build_hierarchy(
-            a, max_levels=max_levels, min_coarse=min_coarse, config=config
-        )
+        self.levels = build_hierarchy(a)
         self.smoother_kind = smoother
         self._gs = None
         if smoother == "gauss-seidel":
             from .smoothers import ColoredGaussSeidel
 
             self._gs = [ColoredGaussSeidel(lvl.a) for lvl in self.levels[:-1]]
-        self.omega = float(omega)
-        self.n_smooth = int(n_smooth)
         self._coarse_dense = self.levels[-1].a.to_dense()
         try:
             self._coarse_inv = np.linalg.inv(self._coarse_dense)
@@ -175,11 +153,8 @@ class MatchingAMGPrecond(Preconditioner):
     ) -> np.ndarray:
         level = self.levels[idx]
         if self._gs is not None:
-            return self._gs[idx].smooth(x, b, sweeps=self.n_smooth, reverse=reverse)
-        for _ in range(self.n_smooth):
-            residual = b - level.a.matvec(x)
-            x = x + self.omega * level.inv_diag * residual
-        return x
+            return self._gs[idx].smooth(x, b, reverse=reverse)
+        return x + 2.0 / 3.0 * level.inv_diag * (b - level.a.matvec(x))
 
     def _cycle(self, idx: int, b: np.ndarray) -> np.ndarray:
         level = self.levels[idx]

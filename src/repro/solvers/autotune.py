@@ -15,7 +15,6 @@ to the Krylov solve the preconditioner accelerates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from ..core.coverage import coverage as coverage_of
 from ..core.factor import ParallelFactorConfig, parallel_factor
@@ -25,8 +24,9 @@ from .preconditioners import AlgTriBlockPrecond, AlgTriScalPrecond
 
 __all__ = ["AutoTuneResult", "auto_block_preconditioner", "tune_factor_config"]
 
-#: The charging schedules evaluated by default — the three configurations of
-#: the paper's Table 4 plus a later un-charged slot.
+#: The (m, k_m) charging schedules the search evaluates — the three
+#: configurations of the paper's Table 4 plus a later un-charged slot.  Every
+#: trial runs M = 5 rounds with p = 0.5 and charge seed 0.
 DEFAULT_SCHEDULES: tuple[tuple[int, int], ...] = ((1, 0), (5, 0), (5, 1), (3, 0))
 
 
@@ -40,14 +40,7 @@ class AutoTuneResult:
 
 
 def tune_factor_config(
-    a: CSRMatrix,
-    n: int,
-    *,
-    schedules: Sequence[tuple[int, int]] = DEFAULT_SCHEDULES,
-    max_iterations: int = 5,
-    p: float = 0.5,
-    seed: int = 0,
-    graph: CSRMatrix | None = None,
+    a: CSRMatrix, n: int, *, graph: CSRMatrix | None = None
 ) -> AutoTuneResult:
     """Pick the (m, k_m) schedule maximising c_π for one factor computation.
 
@@ -57,10 +50,8 @@ def tune_factor_config(
     graph = graph if graph is not None else prepare_graph(a)
     trials: dict[tuple[int, int], float] = {}
     best: tuple[float, tuple[int, int]] | None = None
-    for m, k_m in schedules:
-        config = ParallelFactorConfig(
-            n=n, max_iterations=max_iterations, m=m, k_m=k_m, p=p, seed=seed
-        )
+    for m, k_m in DEFAULT_SCHEDULES:
+        config = ParallelFactorConfig(n=n, m=m, k_m=k_m)
         res = parallel_factor(graph, config)
         c = coverage_of(a, res.factor)
         trials[(m, k_m)] = c
@@ -69,21 +60,13 @@ def tune_factor_config(
     assert best is not None
     m, k_m = best[1]
     return AutoTuneResult(
-        config=ParallelFactorConfig(
-            n=n, max_iterations=max_iterations, m=m, k_m=k_m, p=p, seed=seed
-        ),
+        config=ParallelFactorConfig(n=n, m=m, k_m=k_m),
         coverage=best[0],
         trials=trials,
     )
 
 
-def auto_block_preconditioner(
-    a: CSRMatrix,
-    *,
-    schedules: Sequence[tuple[int, int]] = DEFAULT_SCHEDULES,
-    max_iterations: int = 5,
-    include_scalar: bool = True,
-):
+def auto_block_preconditioner(a: CSRMatrix, *, include_scalar: bool = True):
     """Build the best algebraic preconditioner under automatic control.
 
     Tunes the block preconditioner's shared (m, k_m) schedule by final block
@@ -92,12 +75,11 @@ def auto_block_preconditioner(
     the paper's observation that no single schedule wins on all matrices.
     """
     candidates = []
-    for m, k_m in schedules:
-        config = ParallelFactorConfig(n=1, max_iterations=max_iterations, m=m, k_m=k_m)
-        precond = AlgTriBlockPrecond(a, config)
+    for m, k_m in DEFAULT_SCHEDULES:
+        precond = AlgTriBlockPrecond(a, ParallelFactorConfig(n=1, m=m, k_m=k_m))
         candidates.append((precond.coverage, f"block(m={m},k_m={k_m})", precond))
     if include_scalar:
-        tuned = tune_factor_config(a, 2, schedules=schedules, max_iterations=max_iterations)
+        tuned = tune_factor_config(a, 2)
         precond = AlgTriScalPrecond(a, tuned.config)
         candidates.append(
             (precond.coverage, f"scalar(m={tuned.config.m},k_m={tuned.config.k_m})", precond)

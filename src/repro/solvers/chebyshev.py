@@ -101,14 +101,14 @@ def chebyshev(
 
 
 class ChebyshevSmoother:
-    """AMG-style Chebyshev smoother targeting ``[hi/ratio, hi]``.
+    """AMG-style Chebyshev smoother targeting ``[hi/30, hi]``.
 
     ``hi`` is estimated from a few Lanczos iterations on ``D⁻¹A`` (the
     diagonally preconditioned operator, the standard choice).  Each sweep
     applies a degree-``degree`` Chebyshev polynomial in ``D⁻¹A``.
     """
 
-    def __init__(self, a: CSRMatrix, *, degree: int = 3, ratio: float = 30.0):
+    def __init__(self, a: CSRMatrix, *, degree: int = 3):
         check_square(a.shape)
         diag = a.diagonal()
         if bool((diag == 0.0).any()):
@@ -128,7 +128,7 @@ class ChebyshevSmoother:
             a, preconditioner=_Jac(self._inv_diag), n_iterations=12
         )
         self.hi = 1.1 * est.eig_max
-        self.lo = self.hi / ratio
+        self.lo = self.hi / 30.0
 
     def smooth(self, x: np.ndarray, b: np.ndarray, *, sweeps: int = 1) -> np.ndarray:
         theta = (self.hi + self.lo) / 2.0

@@ -119,15 +119,9 @@ class AlgTriScalPrecond(Preconditioner):
 
     name = "AlgTriScalPrecond"
 
-    def __init__(
-        self,
-        a: CSRMatrix,
-        config: ParallelFactorConfig | None = None,
-        *,
-        device=None,
-    ):
+    def __init__(self, a: CSRMatrix, config: ParallelFactorConfig | None = None):
         check_square(a.shape)
-        result = extract_linear_forest(a, config or ParallelFactorConfig(n=2), device=device)
+        result = extract_linear_forest(a, config or ParallelFactorConfig(n=2))
         self.result = result
         self._perm = result.perm
         self._tri = result.tridiagonal
@@ -160,16 +154,10 @@ class AlgTriBlockPrecond(Preconditioner):
 
     name = "AlgTriBlockPrecond"
 
-    def __init__(
-        self,
-        a: CSRMatrix,
-        config: ParallelFactorConfig | None = None,
-        *,
-        device=None,
-    ):
-        self._build(a, 1, config, device)
+    def __init__(self, a: CSRMatrix, config: ParallelFactorConfig | None = None):
+        self._build(a, 1, config)
 
-    def _build(self, a: CSRMatrix, depth: int, config, device) -> None:
+    def _build(self, a: CSRMatrix, depth: int, config) -> None:
         n = check_square(a.shape)
         base = config or ParallelFactorConfig()
         # members[c]: the fine vertices of coarse vertex c, GHOST-padded to
@@ -177,7 +165,7 @@ class AlgTriBlockPrecond(Preconditioner):
         graph = prepare_graph(a)
         members = np.arange(n, dtype=INDEX_DTYPE)[:, None]
         for _ in range(depth):
-            matching = parallel_factor(graph, replace(base, n=1), device=device).factor
+            matching = parallel_factor(graph, replace(base, n=1)).factor
             coarse = coarsen_by_matching(graph, matching)
             first, second = coarse.aggregates[:, 0], coarse.aggregates[:, 1]
             width = members.shape[1]
@@ -188,9 +176,9 @@ class AlgTriBlockPrecond(Preconditioner):
             members, graph = merged, coarse.graph
 
         # order the coarse vertices along a coarse linear forest
-        coarse_factor = parallel_factor(graph, replace(base, n=2), device=device).factor
-        broken = break_cycles(coarse_factor, graph, device=device)
-        paths = identify_paths(broken.forest, device=device)
+        coarse_factor = parallel_factor(graph, replace(base, n=2)).factor
+        broken = break_cycles(coarse_factor, graph)
+        paths = identify_paths(broken.forest)
         perm = forest_permutation(paths)
 
         self.matching = matching
@@ -236,19 +224,12 @@ class AlgTriMultiBlockPrecond(AlgTriBlockPrecond):
     block row at cubically growing block-solve cost.
     """
 
-    def __init__(
-        self,
-        a: CSRMatrix,
-        *,
-        depth: int = 2,
-        config: ParallelFactorConfig | None = None,
-        device=None,
-    ):
+    def __init__(self, a: CSRMatrix, *, depth: int = 2):
         if depth < 1:
             raise ShapeError(f"depth must be >= 1, got {depth}")
         self.name = f"AlgTriMultiBlockPrecond(depth={depth})"
         self.depth = depth
-        self._build(a, depth, config, device)
+        self._build(a, depth, None)
 
     @property
     def block_size(self) -> int:

@@ -21,20 +21,19 @@ __all__ = ["ColoredGaussSeidel", "WeightedJacobi"]
 
 
 class WeightedJacobi:
-    """x ← x + ω D⁻¹ (b − A x)."""
+    """x ← x + ω D⁻¹ (b − A x) with ω = 2/3."""
 
-    def __init__(self, a: CSRMatrix, *, omega: float = 2.0 / 3.0):
+    def __init__(self, a: CSRMatrix):
         check_square(a.shape)
         diag = a.diagonal()
         if bool((diag == 0.0).any()):
             raise SolverError("Jacobi smoothing requires a zero-free diagonal")
         self.a = a
-        self.omega = float(omega)
         self._inv_diag = 1.0 / diag
 
     def smooth(self, x: np.ndarray, b: np.ndarray, *, sweeps: int = 1) -> np.ndarray:
         for _ in range(sweeps):
-            x = x + self.omega * self._inv_diag * (b - self.a.matvec(x))
+            x = x + 2.0 / 3.0 * self._inv_diag * (b - self.a.matvec(x))
         return x
 
 
@@ -47,14 +46,14 @@ class ColoredGaussSeidel:
     color ordering, fully vectorized per class.
     """
 
-    def __init__(self, a: CSRMatrix, *, seed: int = 0):
+    def __init__(self, a: CSRMatrix):
         check_square(a.shape)
         diag = a.diagonal()
         if bool((diag == 0.0).any()):
             raise SolverError("Gauss-Seidel smoothing requires a zero-free diagonal")
         self.a = a
         self._inv_diag = 1.0 / diag
-        self.colors = color_graph(a, seed=seed)
+        self.colors = color_graph(a)
         self.n_colors = int(self.colors.max(initial=-1)) + 1
         self._classes = [
             np.flatnonzero(self.colors == c) for c in range(self.n_colors)

@@ -99,9 +99,9 @@ class COOMatrix:
             shape=self.shape,
         )
 
-    def drop_zeros(self, tol: float = 0.0) -> "COOMatrix":
-        """Remove explicit zeros (``|v| <= tol``)."""
-        keep = np.abs(self.val) > tol
+    def drop_zeros(self) -> "COOMatrix":
+        """Remove explicit zeros (``|v| <= 0``, so NaN goes too)."""
+        keep = np.abs(self.val) > 0
         return COOMatrix(self.row[keep], self.col[keep], self.val[keep], self.shape)
 
     def transpose(self) -> "COOMatrix":

@@ -251,11 +251,11 @@ class CSRMatrix:
         ).to_csr()
 
     # -- linear algebra ----------------------------------------------------------
-    def matvec(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        """``y (+)= A x`` via the plain SpMV kernel."""
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``A x`` via the plain SpMV kernel."""
         from .spmv import spmv
 
-        return spmv(self, x, y)
+        return spmv(self, x)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)

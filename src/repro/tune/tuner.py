@@ -176,7 +176,6 @@ def tune_suite(
     *,
     scale: float = 1.0,
     config: ParallelFactorConfig | None = None,
-    candidates: tuple = DEFAULT_CANDIDATES,
     verify_top: int = 3,
     path=None,
 ) -> tuple[TuningCache, list[WorkloadTuning]]:
@@ -207,11 +206,7 @@ def tune_suite(
         for workload in names:
             graph = prepare_graph(workloads[workload](scale))
             tuning = tune_graph(
-                graph,
-                name=workload,
-                config=config,
-                candidates=candidates,
-                verify_top=verify_top,
+                graph, name=workload, config=config, verify_top=verify_top
             )
             cache.record(tuning.entry)
             tunings.append(tuning)
