@@ -82,7 +82,11 @@ from .obs import (
     write_run_report,
 )
 from .solvers import bicgstab
-from .solvers.preconditioners import _PRECONDITIONERS, _paper_solution
+from .solvers.preconditioners import (
+    _PRECONDITIONERS,
+    _build_preconditioner,
+    _paper_solution,
+)
 from .sparse import prepare_graph, read_matrix_market, write_matrix_market
 
 __all__ = ["main"]
@@ -355,7 +359,7 @@ def _cmd_solve(args) -> int:
         print("rhs built from the paper's test problem x_t[i] = sin(16*pi*i/N)")
     with ExitStack() as stack:
         obs = _observed(args, stack)
-        precond = _PRECONDITIONERS[args.preconditioner](a)
+        precond = _build_preconditioner(args.preconditioner, a, _config_from(args, 2))
         res = bicgstab(
             a, b, preconditioner=precond, tol=args.tol,
             max_iterations=args.max_solver_iterations, true_solution=x_t,

@@ -86,6 +86,7 @@ def identify_paths(
     device: Device | DeviceGroup | None = None,
     compaction=None,
     partition: VertexPartition | None = None,
+    scan_result: ScanResult | None = None,
 ) -> PathInfo:
     """Run the position scan on a linear forest.
 
@@ -94,8 +95,30 @@ def identify_paths(
     :class:`~repro.core.scan.BidirectionalScan`.  Raises
     :class:`~repro.errors.ScanError` when the factor still contains a
     cycle — run :func:`repro.core.cycles.break_cycles` first.
+
+    ``scan_result`` reuses a finished scan of the factor that ``forest`` was
+    broken from, whose payload carries the
+    :class:`~repro.core.scan.AddOperator` accumulator ``r`` (e.g. the fused
+    pass that :func:`~repro.core.cycles.break_cycles` read).  Vertices off
+    its ``cycle_mask`` keep their lanes from it, and only the broken cycles'
+    lanes jump (:meth:`~repro.core.scan.BidirectionalScan.run_from`).
+    Cycle breaking removes one edge per cycle and leaves every other
+    component as it was, so the result equals the full position scan of
+    ``forest`` bit for bit.
     """
+    if scan_result is not None:
+        if scan_result.q.shape[0] != forest.n_vertices:
+            raise ScanError(
+                f"scan_result covers {scan_result.q.shape[0]} vertices, "
+                f"the forest has {forest.n_vertices}"
+            )
+        cycles = np.flatnonzero(scan_result.cycle_mask)
+        if cycles.size == 0:
+            # no cycle was broken: the scan already holds every position
+            return paths_from_scan(scan_result)
     scan = BidirectionalScan(
         forest, device=device, compaction=compaction, partition=partition
     )
-    return paths_from_scan(scan.run(AddOperator()))
+    if scan_result is None:
+        return paths_from_scan(scan.run(AddOperator()))
+    return paths_from_scan(scan.run_from(AddOperator(), scan_result, cycles))

@@ -24,7 +24,7 @@ from .extraction import TridiagonalSystem, extract_tridiagonal
 from .factor import ParallelFactorConfig, ParallelFactorResult, parallel_factor
 from .frontier import resolve_compaction
 from .partition import VertexPartition, group_attrs, resolve_device
-from .paths import PathInfo, identify_paths, paths_from_scan
+from .paths import PathInfo, identify_paths
 from .permutation import forest_permutation
 from .scan import AddOperator, BidirectionalScan, FusedOperator, MinEdgeOperator
 from .structures import Factor
@@ -108,11 +108,13 @@ def extract_linear_forest(
     ``docs/SHARDING.md``).
 
     With ``merged_scan`` (the default) the cycle scan carries the position
-    accumulator as a fused payload.  When the factor turns out acyclic — the
-    common case on well-charged factors — the path identification comes for
-    free from that single butterfly pass; with cycles present, the position
-    scan re-runs on the broken forest exactly as in the paper.  Results are
-    bit-identical either way; only launch counts and bytes moved differ.
+    accumulator as a fused payload, and every vertex off a cycle keeps the
+    position that single butterfly pass gave it.  Only the broken cycles'
+    lanes jump again, on the broken forest; an acyclic factor — the common
+    case on well-charged factors — needs no second scan at all.  Without
+    it, the position scan re-runs on the whole broken forest exactly as in
+    the paper.  Results are bit-identical either way; only launch counts
+    and bytes moved differ.
 
     ``compaction`` selects the frontier-compaction policy of *both* engines
     (proposition rounds and bidirectional scans) — a policy instance, a spec
@@ -173,14 +175,10 @@ def extract_linear_forest(
                 )
                 fused = scan.run(FusedOperator((MinEdgeOperator(), AddOperator())), graph)
                 broken = break_cycles(factor_result.factor, scan_result=fused)
-                if broken.n_cycles == 0:
-                    # forest == factor: the fused pass already holds the positions
-                    paths = paths_from_scan(fused)
-                else:
-                    paths = identify_paths(
-                        broken.forest, device=device, partition=partition,
-                        compaction=policy,
-                    )
+                paths = identify_paths(
+                    broken.forest, device=device, partition=partition,
+                    compaction=policy, scan_result=fused,
+                )
             else:
                 broken = break_cycles(
                     factor_result.factor, graph, device=device,

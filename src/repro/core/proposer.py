@@ -79,7 +79,7 @@ from .frontier import (
 )
 from .structures import NO_PARTNER, is_partner, slot_degrees
 
-__all__ = ["PreparedProposer", "PropositionEngine", "proposal_order"]
+__all__ = ["PreparedProposer", "PropositionEngine", "csr_proposal_order", "proposal_order"]
 
 #: Bytes per frontier entry moved by a compaction gather: the
 #: ``(row, col, value)`` triple (int64 + int64 + float64).
@@ -87,6 +87,12 @@ GATHER_ELEMENT_BYTES = 24
 #: Bytes one retained dead entry costs each uncompacted round: its row and
 #: col ids are streamed (and skipped) plus its live-mask byte.
 DEAD_ELEMENT_BYTES = 17
+#: :func:`csr_proposal_order` pads the rows when the longest one holds at
+#: least this many entries (below it, the global sort measured faster) ...
+PADDED_MIN_DEGREE = 8
+#: ... and the padded array holds at most this many slots per nonzero, so a
+#: hub row never allocates ``rows · d_max``.
+PADDED_MAX_FILL = 4
 
 
 def proposal_order(rows: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -94,6 +100,8 @@ def proposal_order(rows: np.ndarray, data: np.ndarray) -> np.ndarray:
     array position ascending — equal to
     ``np.lexsort((position, -data, rows))``.
 
+    This is the global form, for rows in any order; the engines order CSR
+    rows with :func:`csr_proposal_order`, which sorts each row on its own.
     One stable argsort of the integer key ``row · n_distinct + rank`` replaces
     the three-key sort, where ``rank`` is the descending rank of the value
     among the distinct values (equal values, ``-0.0`` and ``0.0`` among them,
@@ -109,6 +117,35 @@ def proposal_order(rows: np.ndarray, data: np.ndarray) -> np.ndarray:
         position = np.arange(rows.size, dtype=INDEX_DTYPE)
         return np.lexsort((position, -data, rows))
     return np.argsort(rows * distinct.size + rank, kind="stable")
+
+
+def csr_proposal_order(graph: CSRMatrix, lo: int, hi: int) -> np.ndarray:
+    """:func:`proposal_order` of the nonzeros of rows ``[lo, hi)``, counted
+    from the range's first nonzero, sorted row by row.
+
+    Row is the primary key and CSR rows are contiguous, so each row can be
+    sorted on its own.  Every row is padded to the longest one's ``d_max``
+    entries and one stable ``np.argsort(axis=1)`` sorts the keys ``-value``
+    of all rows at once; mapping the slots back through ``indptr`` drops the
+    pads.  The pads are NaN, which sorts after every key, so stability keeps
+    each row's own entries ahead of them.  When the longest row is shorter
+    than :data:`PADDED_MIN_DEGREE`, or the padding would exceed
+    :data:`PADDED_MAX_FILL` slots per nonzero (a hub row), the global
+    :func:`proposal_order` runs instead.
+    """
+    indptr = graph.indptr[lo : hi + 1]
+    s0, s1 = int(indptr[0]), int(indptr[-1])
+    counts = np.diff(indptr)
+    d_max = int(counts.max()) if counts.size else 0
+    if d_max < PADDED_MIN_DEGREE or counts.size * d_max > PADDED_MAX_FILL * (s1 - s0):
+        return proposal_order(graph.nnz_rows[s0:s1], graph.data[s0:s1])
+    # own[r, k]: slot k of row r holds one of the row's entries
+    own = np.arange(d_max) < counts[:, None]
+    keys = np.full(own.shape, np.nan, dtype=graph.data.dtype)
+    keys[own] = -graph.data[s0:s1]
+    slots = np.argsort(keys, axis=1, kind="stable")
+    slots += (indptr[:-1] - s0)[:, None]
+    return slots[own]
 
 
 def _select_proposals(
@@ -161,7 +198,7 @@ class PreparedProposer:
         validate_proposition_weights(graph.data)
         self.graph = graph
         rows = graph.nnz_rows
-        order = proposal_order(rows, graph.data)
+        order = csr_proposal_order(graph, 0, graph.n_rows)
         self._rows = rows[order]
         self._cols = graph.indices[order]
         self._vals = np.asarray(graph.data, dtype=VALUE_DTYPE)[order]
@@ -266,12 +303,11 @@ class PropositionEngine:
         # the Table 1 order restricted to a row range is the range's own
         # order: positions shift by a constant inside contiguous rows
         rows = graph.nnz_rows[s0:s1]
-        data = graph.data[s0:s1]
-        order = proposal_order(rows, data)
+        order = csr_proposal_order(graph, lo, hi)
         # row is the primary key and the rows already ascend: rows[order]
         # would be rows again
         cols = graph.indices[s0:s1][order]
-        vals = np.asarray(data, dtype=VALUE_DTYPE)[order]
+        vals = np.asarray(graph.data[s0:s1], dtype=VALUE_DTYPE)[order]
         # self loops are permanently ineligible: retire them up front
         live = cols != rows
         if not bool(live.all()):

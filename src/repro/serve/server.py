@@ -94,7 +94,11 @@ from ..errors import ConfigError, ShapeError
 from ..graphs import SUITE, build_matrix
 from ..obs import Aggregator, MetricsRegistry, TelemetrySchedule
 from ..solvers import bicgstab
-from ..solvers.preconditioners import _PRECONDITIONERS, _paper_solution
+from ..solvers.preconditioners import (
+    _PRECONDITIONERS,
+    _build_preconditioner,
+    _paper_solution,
+)
 from ..sparse import CSRMatrix, matrix_digest, prepare_graph, read_matrix_market
 from .result_cache import ResultCache, canonical_json
 from .session import RequestSession
@@ -775,7 +779,7 @@ class ReproServer:
         else:
             x_t = _paper_solution(n)
             b = a.matvec(x_t)
-        precond = _PRECONDITIONERS[cfg["preconditioner"]](a)
+        precond = _build_preconditioner(cfg["preconditioner"], a, _config_from(cfg))
         res = bicgstab(
             a, b, preconditioner=precond, tol=cfg["tol"],
             max_iterations=cfg["max_iterations"], true_solution=x_t,

@@ -247,6 +247,18 @@ _PRECONDITIONERS = {
 }
 
 
+def _build_preconditioner(
+    name: str, a: CSRMatrix, config: ParallelFactorConfig
+) -> Preconditioner:
+    """The preconditioner ``name`` of ``a``, as ``repro solve`` and the
+    serve ``solve`` op build it: the two that extract a linear forest run
+    Algorithm 2 with the request's ``config``."""
+    cls = _PRECONDITIONERS[name]
+    if cls in (AlgTriScalPrecond, AlgTriBlockPrecond):
+        return cls(a, config)
+    return cls(a)
+
+
 def _paper_solution(n: int) -> np.ndarray:
     """The paper's test solution ``x_t[i] = sin(16πi/N)``."""
     return np.sin(16.0 * np.pi * np.arange(n) / n)
