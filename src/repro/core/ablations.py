@@ -29,6 +29,11 @@ ablation benchmarks quantify the claims:
   :class:`~repro.core.scan.BidirectionalScan` is property-tested against
   (results must be bit-identical) and the traffic baseline of the
   convergence benchmarks.
+* :class:`TripleMinEdgeOperator` — the paper's weakest-edge ⊕: every lane
+  carries the (|weight|, min id, max id) triple through every launch and ⊕
+  is the lexicographic minimum.  It is the oracle of
+  :class:`~repro.core.scan.MinEdgeOperator`, which ranks the triple into
+  one int64 key and reduces it with ``np.minimum``.
 * :func:`reference_parallel_factor` — the paper-exact Algorithm 2 round
   loop: every round launches charge/propose/mutualize over the *full*
   nonzero array (:func:`~repro.core.factor.propose_edges` re-masks all nnz
@@ -55,6 +60,7 @@ from .scan import (
     Payload,
     ScanResult,
     decode_end,
+    finish_payload,
     is_path_end,
     operator_label,
     scan_steps,
@@ -65,6 +71,7 @@ __all__ = [
     "MergedForestResult",
     "MergedOperator",
     "ReferenceScan",
+    "TripleMinEdgeOperator",
     "UnsafeInPlaceScan",
     "merged_linear_forest",
     "propose_accept_factor",
@@ -141,11 +148,57 @@ class ReferenceScan(BidirectionalScan):
 
         return ScanResult(
             q=q_pp.back.copy(),
-            payload={name: pp.back.copy() for name, pp in payload_pp.items()},
+            payload=finish_payload(
+                operator, {name: pp.back.copy() for name, pp in payload_pp.items()}
+            ),
             steps=n_steps,
             launches=launches,
             active_per_launch=tuple(active_history),
         )
+
+
+class TripleMinEdgeOperator:
+    """The paper's weakest-edge ⊕ (Section 3.3 step 1), the triple itself.
+
+    Each lane carries (|weight|, min endpoint, max endpoint) through every
+    launch, (+inf, int64 max, int64 max) on a missing lane, and ⊕ keeps the
+    lexicographic minimum.  :class:`~repro.core.scan.MinEdgeOperator`'s
+    finished payload must equal this one bit for bit.
+    """
+
+    _INF = np.iinfo(INDEX_DTYPE).max
+
+    def init(self, factor: Factor, graph: CSRMatrix | None) -> Payload:
+        if graph is None:
+            raise ScanError("TripleMinEdgeOperator requires the weighted graph")
+        n_vertices = factor.n_vertices
+        ids = np.arange(n_vertices, dtype=INDEX_DTYPE)
+        w = np.full((n_vertices, 2), np.inf, dtype=VALUE_DTYPE)
+        u = np.full((n_vertices, 2), self._INF, dtype=INDEX_DTYPE)
+        v = np.full((n_vertices, 2), self._INF, dtype=INDEX_DTYPE)
+        for lane in range(min(factor.n, 2)):
+            nbr = factor.neighbors[:, lane]
+            valid = nbr != NO_PARTNER
+            vv = ids[valid]
+            nn = nbr[valid]
+            w[valid, lane] = np.abs(graph.gather(vv, nn))
+            u[valid, lane] = np.minimum(vv, nn)
+            v[valid, lane] = np.maximum(vv, nn)
+        return {"w": w, "u": u, "v": v}
+
+    def combine(self, current: Payload, far: Payload) -> Payload:
+        take_far = _triple_less(far, current)
+        return {name: np.where(take_far, far[name], current[name]) for name in "wuv"}
+
+
+def _triple_less(a: Payload, b: Payload) -> np.ndarray:
+    """Where the triple ``(w, u, v)`` of ``a`` is lexicographically smaller
+    than that of ``b``."""
+    less = a["w"] < b["w"]
+    tie_w = a["w"] == b["w"]
+    less |= tie_w & (a["u"] < b["u"])
+    less |= tie_w & (a["u"] == b["u"]) & (a["v"] < b["v"])
+    return less
 
 
 # ---------------------------------------------------------------------------
@@ -255,48 +308,26 @@ class MergedOperator:
     def init(self, factor: Factor, graph: CSRMatrix | None) -> Payload:
         if graph is None:
             raise ScanError("MergedOperator requires the weighted graph")
-        n_vertices = factor.n_vertices
-        ids = np.arange(n_vertices, dtype=INDEX_DTYPE)
-        payload = {
-            "r": np.ones((n_vertices, 2), dtype=INDEX_DTYPE),
-            "w": np.full((n_vertices, 2), np.inf, dtype=VALUE_DTYPE),
-            "u": np.full((n_vertices, 2), self._INF, dtype=INDEX_DTYPE),
-            "v": np.full((n_vertices, 2), self._INF, dtype=INDEX_DTYPE),
-            "dist": np.zeros((n_vertices, 2), dtype=INDEX_DTYPE),
-            "near": np.full((n_vertices, 2), self._INF, dtype=INDEX_DTYPE),
+        triple = TripleMinEdgeOperator().init(factor, graph)
+        ids = np.arange(factor.n_vertices, dtype=INDEX_DTYPE)
+        return {
+            "r": np.ones_like(triple["u"]),
+            **triple,
+            "dist": np.zeros_like(triple["u"]),
+            # an edge lane's near endpoint is its own vertex; a missing one has none
+            "near": np.where(triple["u"] == self._INF, self._INF, ids[:, None]),
         }
-        for lane in (0, 1):
-            nbr = factor.neighbors[:, lane] if lane < factor.n else np.full(
-                n_vertices, NO_PARTNER, dtype=INDEX_DTYPE
-            )
-            valid = nbr != NO_PARTNER
-            vv = ids[valid]
-            nn = nbr[valid]
-            payload["w"][valid, lane] = np.abs(graph.gather(vv, nn))
-            payload["u"][valid, lane] = np.minimum(vv, nn)
-            payload["v"][valid, lane] = np.maximum(vv, nn)
-            payload["dist"][valid, lane] = 0
-            payload["near"][valid, lane] = vv
-        return payload
 
     def combine(self, current: Payload, far: Payload) -> Payload:
-        strictly_less = far["w"] < current["w"]
-        tie_w = far["w"] == current["w"]
-        strictly_less |= tie_w & (far["u"] < current["u"])
-        strictly_less |= (
-            tie_w & (far["u"] == current["u"]) & (far["v"] < current["v"])
-        )
-        take_far = strictly_less  # ties keep the nearer (current) occurrence
-        out = {
+        # ties keep the nearer (current) occurrence
+        take_far = _triple_less(far, current)
+        return {
             "r": current["r"] + far["r"],
-            "w": np.where(take_far, far["w"], current["w"]),
-            "u": np.where(take_far, far["u"], current["u"]),
-            "v": np.where(take_far, far["v"], current["v"]),
+            **{name: np.where(take_far, far[name], current[name]) for name in "wuv"},
             # the far segment starts current["r"] edges away
             "dist": np.where(take_far, current["r"] + far["dist"], current["dist"]),
             "near": np.where(take_far, far["near"], current["near"]),
         }
-        return out
 
 
 @dataclass(frozen=True)
@@ -551,8 +582,6 @@ class UnsafeInPlaceScan(BidirectionalScan):
     """
 
     def run(self, operator, graph=None, *, steps=None):
-        from .scan import ScanResult, scan_steps
-
         n_vertices = self.factor.n_vertices
         n_steps = scan_steps(n_vertices) if steps is None else steps
         ids = self._ids
@@ -582,4 +611,9 @@ class UnsafeInPlaceScan(BidirectionalScan):
                         payload[name][sub, lane] = merged[name]
                     q[sub, lane] = far_q[extend, j]
 
-        return ScanResult(q=q.copy(), payload=payload, steps=n_steps, launches=n_steps)
+        return ScanResult(
+            q=q.copy(),
+            payload=finish_payload(operator, payload),
+            steps=n_steps,
+            launches=n_steps,
+        )

@@ -15,7 +15,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .._validation import INDEX_DTYPE
 from ..device.device import Device, DeviceGroup
 from ..errors import ScanError
 from .partition import VertexPartition
@@ -74,10 +73,15 @@ def paths_from_scan(result: ScanResult) -> PathInfo:
         )
     ends = decode_end(result.q)  # (N, 2) end vertex ids per lane
     r = result.payload["r"]
-    # Alg. 3 lines 30-32: choose the lane pointing at the smaller end id.
-    lane = np.argmin(ends, axis=1)
-    rows = np.arange(ends.shape[0], dtype=INDEX_DTYPE)
-    return PathInfo(path_id=ends[rows, lane], position=r[rows, lane])
+    # Alg. 3 lines 30-32: the path id is the smaller end id, and the
+    # position comes from the lane pointing at it (lane 0 on a tie).  Lane
+    # columns, not an argmin along the short lane axis, which costs three
+    # times as much.
+    end0, end1 = ends[:, 0], ends[:, 1]
+    return PathInfo(
+        path_id=np.minimum(end0, end1),
+        position=np.where(end1 < end0, r[:, 1], r[:, 0]),
+    )
 
 
 def identify_paths(

@@ -50,7 +50,16 @@ full ⌈log₂N⌉ launches):
   invalid one, e.g. asymmetric, whose rows gather entry 0 as well and apply
   the ``j = 0`` combine first.  The meter still charges the full far pair of
   ``q`` and of every payload field, and the ``j = 0`` traffic of such rows,
-  so each kernel record is that of the two-entry formulation.
+  so each kernel record is that of the two-entry formulation.  A field
+  pair costs what its lanes carry: :class:`MinEdgeOperator` carries one
+  int64 key, not the paper's (weight, id, id) triple, so a far tuple of the
+  fused weakest-edge + position pass is 48 bytes (``q``, key, ``r``), not
+  80.  The meter covers the step loop only.  An operator's ``init`` and
+  ``finish`` run on the host and record nothing, and for the key that
+  leaves out the sort that ranks the 2N lanes and the lookup that decodes
+  them.  On a :class:`~repro.device.device.DeviceGroup` both steps span
+  every shard, since keys must compare across a cycle that crosses shards,
+  yet no launch, kernel bytes or ``halo.*`` transfer is recorded for them.
 * **Telemetry** — every launch reports its frontier size to the
   :class:`~repro.device.device.Device` (``active_lanes``/``total_lanes``),
   so ``render_trace`` shows the convergence curve of a run.
@@ -139,11 +148,24 @@ class ScanOperator(Protocol):
     ``combine`` merges the far segment's payload into the current one (both
     arguments are flat selections of lane entries) and must be vectorized and
     side-effect free.
+
+    An operator may also define ``finish(payload) -> payload``, which maps
+    the lane state of the last launch to the payload a
+    :class:`ScanResult` hands out (e.g. :class:`MinEdgeOperator` decodes its
+    keys into the weakest-edge triple).  Every engine applies it once,
+    through :func:`finish_payload`, after its last launch.
     """
 
     def init(self, factor: Factor, graph: CSRMatrix | None) -> Payload: ...
 
     def combine(self, current: Payload, far: Payload) -> Payload: ...
+
+
+def finish_payload(operator: ScanOperator, payload: Payload) -> Payload:
+    """The payload a scan result hands out: ``operator.finish(payload)`` if
+    the operator defines ``finish``, else ``payload`` itself."""
+    finish = getattr(operator, "finish", None)
+    return payload if finish is None else finish(payload)
 
 
 def operator_label(operator: ScanOperator) -> str:
@@ -252,6 +274,31 @@ class MaxVertexOperator:
         return {"m": np.maximum(current["m"], far["m"])}
 
 
+def _sort_pairs(w: np.ndarray, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order the pairs ``(w[i], uv[i])`` lexicographically.
+
+    Returns the order and, along it, a mask that is True where a pair
+    differs from its predecessor, so ``cumsum(mask) - 1`` is each sorted
+    pair's dense rank.  It always argsorts ``w``, which is the whole job
+    when every weight names a single ``uv``; when two distinct ``uv`` share
+    a weight it then runs ``np.lexsort`` on both keys, so such inputs pay
+    for both sorts.  A lexsort alone would be simpler, but on the
+    65,536-vertex perfbench inputs it made ``MinEdgeOperator.init`` about
+    twice as slow on g3_circuit (about 30 ms against 16 ms), and saved only
+    1–2 ms where weights repeat (aniso2, ecology1).
+    """
+    order = np.argsort(w)
+    new = np.ones(w.size, dtype=bool)
+    ws = w[order]
+    np.not_equal(ws[1:], ws[:-1], out=new[1:])
+    uvs = uv[order]
+    if ((uvs[1:] != uvs[:-1]) > new[1:]).any():
+        order = np.lexsort((uv, w))
+        ws, uvs = w[order], uv[order]
+        new[1:] = (ws[1:] != ws[:-1]) | (uvs[1:] != uvs[:-1])
+    return order, new
+
+
 class MinEdgeOperator:
     """Weakest-edge payload for cycle breaking (Section 3.3 step 1).
 
@@ -261,43 +308,70 @@ class MinEdgeOperator:
     incident vertices"*.  ⊕ is the lexicographic minimum, which is
     idempotent, so the overlapping segment coverage that pointer jumping
     produces on cycles is harmless.
+
+    Between launches a lane carries one int64 ``key`` instead of the triple:
+    :meth:`init` dense-ranks the lane triples, so key order is exactly the
+    triple order, equal triples share a key and a missing lane ranks after
+    every edge, +inf ones included.  ⊕ is then one ``np.minimum``.
+    :meth:`finish` maps the keys back to the triple arrays ``w`` (float64),
+    ``u`` and ``v`` (int64) once, after the last launch; a missing lane
+    reads (+inf, int64 max, int64 max).  It decodes the keys of this
+    operator's latest :meth:`init`, so a scan in flight needs an operator of
+    its own.  A NaN weight has no rank and is refused.  The rank and the
+    decode are unmetered host steps (see the module docstring), so the
+    metered bytes of a key scan count its launches, not the sort of the 2N
+    lanes.  The paper's triple ⊕ is kept as
+    :class:`~repro.core.ablations.TripleMinEdgeOperator`, the oracle of the
+    key.
     """
 
     label = "min-edge"
 
     _INF = np.iinfo(INDEX_DTYPE).max
 
+    def __init__(self):
+        # (w, u, v) of each distinct lane triple, indexed by key
+        self._triples: tuple[np.ndarray, ...] = ()
+
     def init(self, factor: Factor, graph: CSRMatrix | None) -> Payload:
         if graph is None:
             raise ScanError("MinEdgeOperator requires the weighted graph")
         n_vertices = factor.n_vertices
-        ids = np.arange(n_vertices, dtype=INDEX_DTYPE)
-        w = np.full((n_vertices, 2), np.inf, dtype=VALUE_DTYPE)
-        u = np.full((n_vertices, 2), self._INF, dtype=INDEX_DTYPE)
-        v = np.full((n_vertices, 2), self._INF, dtype=INDEX_DTYPE)
-        for lane in (0, 1):
-            if lane < factor.n:
-                nbr = factor.neighbors[:, lane]
-            else:
-                nbr = np.full(n_vertices, NO_PARTNER, dtype=INDEX_DTYPE)
-            valid = nbr != NO_PARTNER
-            vv = ids[valid]
-            nn = nbr[valid]
-            w[valid, lane] = np.abs(graph.gather(vv, nn))
-            u[valid, lane] = np.minimum(vv, nn)
-            v[valid, lane] = np.maximum(vv, nn)
-        return {"w": w, "u": u, "v": v}
+        # flat lane-major partners: entry (x, lane) at 2x + lane
+        nbr = np.full((n_vertices, 2), NO_PARTNER, dtype=INDEX_DTYPE)
+        lanes = factor.neighbors[:, :2]
+        nbr[:, : lanes.shape[1]] = lanes
+        nbr = nbr.reshape(-1)
+        edge_lanes = np.flatnonzero(nbr != NO_PARTNER)
+        here = edge_lanes >> 1
+        there = nbr[edge_lanes]
+        w = np.abs(graph.gather(here, there))
+        nan = np.flatnonzero(np.isnan(w))
+        if nan.size:
+            raise ScanError(
+                f"factor edge ({here[nan[0]]}, {there[nan[0]]}) has a NaN weight, "
+                "which has no rank"
+            )
+        u = np.minimum(here, there)
+        v = np.maximum(here, there)
+        order, new = _sort_pairs(w, u * n_vertices + v)
+        holders = order[new]
+        # a missing lane's key is one past every edge's
+        key = np.full(2 * n_vertices, holders.size, dtype=INDEX_DTYPE)
+        key[edge_lanes[order]] = np.cumsum(new) - 1
+        self._triples = (
+            np.append(w[holders], np.inf),
+            np.append(u[holders], self._INF),
+            np.append(v[holders], self._INF),
+        )
+        return {"key": key.reshape(n_vertices, 2)}
 
     def combine(self, current: Payload, far: Payload) -> Payload:
-        take_far = far["w"] < current["w"]
-        tie_w = far["w"] == current["w"]
-        take_far |= tie_w & (far["u"] < current["u"])
-        take_far |= tie_w & (far["u"] == current["u"]) & (far["v"] < current["v"])
-        return {
-            "w": np.where(take_far, far["w"], current["w"]),
-            "u": np.where(take_far, far["u"], current["u"]),
-            "v": np.where(take_far, far["v"], current["v"]),
-        }
+        return {"key": np.minimum(current["key"], far["key"])}
+
+    def finish(self, payload: Payload) -> Payload:
+        key = payload["key"]
+        return {name: table[key] for name, table in zip("wuv", self._triples)}
 
 
 class FusedOperator:
@@ -339,20 +413,24 @@ class FusedOperator:
     def label(self) -> str:
         return "fused(" + "+".join(operator_label(op) for op in self.operators) + ")"
 
+    @staticmethod
+    def _put(out: Payload, prefix: str, payload: Payload) -> None:
+        for base, arr in payload.items():
+            name = prefix + base
+            if name in out:
+                raise ScanError(
+                    f"fused payload name collision on {name!r}; "
+                    "disambiguate with prefixes"
+                )
+            out[name] = arr
+
     def init(self, factor: Factor, graph: CSRMatrix | None) -> Payload:
         out: Payload = {}
         self._fields = []
         for op, prefix in zip(self.operators, self.prefixes):
             payload = op.init(factor, graph)
             self._fields.append(tuple(payload))
-            for base, arr in payload.items():
-                name = prefix + base
-                if name in out:
-                    raise ScanError(
-                        f"fused payload name collision on {name!r}; "
-                        "disambiguate with prefixes"
-                    )
-                out[name] = arr
+            self._put(out, prefix, payload)
         return out
 
     def combine(self, current: Payload, far: Payload) -> Payload:
@@ -366,6 +444,14 @@ class FusedOperator:
             )
             for base in names:
                 out[prefix + base] = merged[base]
+        return out
+
+    def finish(self, payload: Payload) -> Payload:
+        """Forward each constituent's lanes through its own ``finish``."""
+        out: Payload = {}
+        for op, prefix, names in zip(self.operators, self.prefixes, self._fields):
+            lanes = {base: payload[prefix + base] for base in names}
+            self._put(out, prefix, finish_payload(op, lanes))
         return out
 
 
@@ -559,6 +645,7 @@ class BidirectionalScan:
             launches, active_history, decisions = self._run_steps(
                 operator, q, payload, names, n_steps, label, cand
             )
+            payload = finish_payload(operator, payload)
             if stage is not None:
                 stage.attributes.update(
                     launches=launches, converged=bool((q < 0).all())

@@ -376,7 +376,8 @@ def test_min_edge_init_dtype_is_index_dtype():
     # degree-1 factor: the second lane uses the missing-neighbour fill
     factor = Factor.from_edge_list(2, 1, [0], [1])
     graph = prepare_graph(from_edges(2, np.array([0]), np.array([1]), np.array([2.0])))
-    payload = MinEdgeOperator().init(factor, graph)
+    operator = MinEdgeOperator()
+    payload = operator.finish(operator.init(factor, graph))
     assert payload["u"].dtype == INDEX_DTYPE
     assert payload["v"].dtype == INDEX_DTYPE
 

@@ -28,7 +28,7 @@ def _run_threads(targets):
         t.join()
 
 
-def test_simultaneous_identical_requests_share_one_pipeline_run():
+def test_simultaneous_identical_requests_share_one_pipeline_run(monkeypatch):
     device = Device("coalesce")
     server = ReproServer(ServeConfig(), device=device)
     a = aniso2(16)
@@ -38,6 +38,32 @@ def test_simultaneous_identical_requests_share_one_pipeline_run():
     solo.handle_request(req)
     solo_launches = solo.device.launch_count
 
+    # The leader's pipeline run waits until both followers wait on its
+    # in-flight entry, so neither can arrive after the result is cached and
+    # count as a plain hit, however fast the run.
+    parked = threading.Semaphore(0)
+
+    class ParkingEvent(threading.Event):
+        def wait(self, timeout=None):
+            parked.release()
+            return super().wait(timeout)
+
+    class ParkingWaiter(server_mod._Waiter):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            self.event = ParkingEvent()
+
+    run_solo = server._run_solo
+
+    def held_run_solo(*args):
+        for _ in range(2):
+            parked.acquire(timeout=30)
+        return run_solo(*args)
+
+    monkeypatch.setattr(server_mod, "_Waiter", ParkingWaiter)
+    monkeypatch.setattr(server, "_run_solo", held_run_solo)
     barrier = threading.Barrier(3)
     responses = []
     lock = threading.Lock()
