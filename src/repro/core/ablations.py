@@ -50,6 +50,7 @@ import numpy as np
 
 from .._validation import INDEX_DTYPE, VALUE_DTYPE
 from ..device.buffers import PingPong
+from ..device.device import DeviceGroup
 from ..errors import ScanError
 from ..sparse.csr import CSRMatrix
 from .charge import vertex_charges
@@ -88,10 +89,16 @@ class ReferenceScan(BidirectionalScan):
     ping-pong buffers of ``q`` and every payload array.  The convergence
     tests assert :class:`~repro.core.scan.BidirectionalScan` is bit-identical
     to this engine on every topology; the convergence benchmarks use it as
-    the launch/traffic baseline.
+    the launch/traffic baseline.  It launches on one
+    :class:`~repro.device.Device`; the sharded engines are compared with a
+    one-device reference.
     """
 
     def run(self, operator, graph=None, *, steps=None):
+        if isinstance(self.device, DeviceGroup):
+            raise ScanError(
+                f"ReferenceScan runs on one device, not a DeviceGroup of {len(self.device)}"
+            )
         n_vertices = self.factor.n_vertices
         n_steps = scan_steps(n_vertices) if steps is None else steps
         ids = self._ids

@@ -87,11 +87,9 @@ GATHER_ELEMENT_BYTES = 24
 #: Bytes one retained dead entry costs each uncompacted round: its row and
 #: col ids are streamed (and skipped) plus its live-mask byte.
 DEAD_ELEMENT_BYTES = 17
-#: :func:`csr_proposal_order` pads the rows when the longest one holds at
-#: least this many entries (below it, the global sort measured faster) ...
-PADDED_MIN_DEGREE = 8
-#: ... and the padded array holds at most this many slots per nonzero, so a
-#: hub row never allocates ``rows · d_max``.
+#: :func:`csr_proposal_order` pads the rows only while the padded array
+#: holds at most this many slots per nonzero, so a hub row never allocates
+#: ``rows · d_max``.
 PADDED_MAX_FILL = 4
 
 
@@ -128,8 +126,7 @@ def csr_proposal_order(graph: CSRMatrix, lo: int, hi: int) -> np.ndarray:
     entries and one stable ``np.argsort(axis=1)`` sorts the keys ``-value``
     of all rows at once; mapping the slots back through ``indptr`` drops the
     pads.  The pads are NaN, which sorts after every key, so stability keeps
-    each row's own entries ahead of them.  When the longest row is shorter
-    than :data:`PADDED_MIN_DEGREE`, or the padding would exceed
+    each row's own entries ahead of them.  When the padding would exceed
     :data:`PADDED_MAX_FILL` slots per nonzero (a hub row), the global
     :func:`proposal_order` runs instead.
     """
@@ -137,7 +134,7 @@ def csr_proposal_order(graph: CSRMatrix, lo: int, hi: int) -> np.ndarray:
     s0, s1 = int(indptr[0]), int(indptr[-1])
     counts = np.diff(indptr)
     d_max = int(counts.max()) if counts.size else 0
-    if d_max < PADDED_MIN_DEGREE or counts.size * d_max > PADDED_MAX_FILL * (s1 - s0):
+    if counts.size * d_max > PADDED_MAX_FILL * (s1 - s0):
         return proposal_order(graph.nnz_rows[s0:s1], graph.data[s0:s1])
     # own[r, k]: slot k of row r holds one of the row's entries
     own = np.arange(d_max) < counts[:, None]

@@ -30,14 +30,13 @@ semantics.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..obs.tracer import Tracer, current_tracer
+from ..obs.tracer import Tracer, current_tracer, monotonic_clock
 from .interconnect import Interconnect
 
 __all__ = ["Device", "DeviceGroup", "KernelLaunch", "KernelRecord", "default_device"]
@@ -263,14 +262,14 @@ class Device(_LaunchQueries):
         handle.bytes_written = _nbytes(writes)
         span = tracer.start_span(name, category="kernel") if tracer else None
         error = None
-        start = time.perf_counter()
+        start = monotonic_clock()
         try:
             yield handle
         except BaseException as exc:
             error = type(exc).__name__
             raise
         finally:
-            seconds = time.perf_counter() - start
+            seconds = monotonic_clock() - start
             self.kernels.append(
                 KernelRecord(
                     name=name,

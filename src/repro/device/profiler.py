@@ -9,12 +9,11 @@ in the exported trace; a raising phase body closes its span with an
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from ..obs.tracer import current_tracer
+from ..obs.tracer import current_tracer, monotonic_clock
 
 __all__ = ["PhaseTimer", "TimingBreakdown"]
 
@@ -32,7 +31,7 @@ class PhaseTimer:
         tracer = current_tracer()
         span = tracer.start_span(self.name, category="phase") if tracer else None
         error = None
-        start = time.perf_counter()
+        start = monotonic_clock()
         try:
             yield
         except BaseException as exc:
@@ -41,7 +40,7 @@ class PhaseTimer:
         finally:
             # Record even when the body raises: a partially failed run must
             # keep a truthful Figure-6 breakdown (the exception propagates).
-            seconds = time.perf_counter() - start
+            seconds = monotonic_clock() - start
             self.seconds += seconds
             self.calls += 1
             if span is not None:

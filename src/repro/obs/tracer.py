@@ -19,10 +19,10 @@ dynamic extent of a run with :func:`use_tracer`::
         extract_linear_forest(a, device=Device())
     tracer.write_chrome_trace("trace.json")
 
-Timing uses ``time.perf_counter`` — this module and :mod:`repro.device`
-are the only places allowed to touch the raw clock (enforced by
-``tests/test_no_raw_timers.py``), so every measurement flows through the
-tracer or the device.
+Timing reads :data:`monotonic_clock` (``time.perf_counter``).  This module
+is the only place allowed to touch the raw clock (enforced by
+``tests/test_no_raw_timers.py``), so spans, kernel launch records, phase
+timers and the daemon's aggregation all read one clock.
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ __all__ = [
 #: Version tag stamped into every export (bump on incompatible changes).
 SCHEMA_VERSION = "repro.obs/v1"
 
-#: The one sanctioned monotonic clock of the observability layer.  Code
-#: outside ``src/repro/device/`` and this module must not call
-#: ``time.perf_counter`` directly (``tests/test_no_raw_timers.py``) — the
-#: aggregation/exposition layers take an injectable ``clock`` defaulting to
-#: this, so tests can substitute a deterministic clock.
+#: The one sanctioned monotonic clock of the library.  Code outside this
+#: module must not call ``time.perf_counter`` directly
+#: (``tests/test_no_raw_timers.py``): ``Device.launch`` and ``PhaseTimer``
+#: read this, and the aggregation/exposition layers take an injectable
+#: ``clock`` defaulting to it, so tests can substitute a deterministic clock.
 monotonic_clock = time.perf_counter
 
 
@@ -126,11 +126,11 @@ class Tracer:
         self.name = name
         self.spans: list[Span] = []
         self._stack: list[Span] = []
-        self._epoch = time.perf_counter()
+        self._epoch = monotonic_clock()
 
     # -- recording ---------------------------------------------------------
     def _now(self) -> float:
-        return time.perf_counter() - self._epoch
+        return monotonic_clock() - self._epoch
 
     def start_span(self, name: str, *, category: str = "span", **attributes) -> Span:
         """Open a span nested under the innermost open span."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import INDEX_DTYPE, VALUE_DTYPE, check_square
+from .._validation import INDEX_DTYPE, VALUE_DTYPE
 from ..core.factor import ParallelFactorConfig, parallel_factor
 from ..errors import SolverError
 from ..sparse.build import prepare_graph
@@ -28,7 +28,8 @@ from ..sparse.coo import COOMatrix
 from ..sparse.csr import CSRMatrix
 from ..sparse.spgemm import spgemm
 from .coarsen import coarsen_by_matching
-from .preconditioners import Preconditioner
+from .preconditioners import Preconditioner, _inverse_diagonal
+from .smoothers import ColoredGaussSeidel, WeightedJacobi
 
 __all__ = ["AMGLevel", "MatchingAMGPrecond", "build_hierarchy"]
 
@@ -50,7 +51,6 @@ class AMGLevel:
 
     a: CSRMatrix
     prolongation: CSRMatrix | None  # None on the coarsest level
-    inv_diag: np.ndarray
 
 
 def build_hierarchy(
@@ -62,14 +62,11 @@ def build_hierarchy(
     Coarsening stops early when a matching no longer shrinks the graph
     (e.g. an edgeless level).
     """
-    check_square(a.shape)
     base = ParallelFactorConfig(n=1, max_iterations=5, m=5, k_m=0)
     levels: list[AMGLevel] = []
     current = a
     for _ in range(max_levels - 1):
-        diag = current.diagonal()
-        if bool((diag == 0.0).any()):
-            raise SolverError("AMG requires a zero-free diagonal on every level")
+        _inverse_diagonal(current, f"AMG level {len(levels)}")
         if current.n_rows <= min_coarse:
             break
         graph = prepare_graph(current)
@@ -80,12 +77,10 @@ def build_hierarchy(
             break
         coarse = coarsen_by_matching(graph, matching)
         p = _aggregation_prolongation(coarse.fine_to_coarse, coarse.n_coarse)
-        levels.append(AMGLevel(a=current, prolongation=p, inv_diag=1.0 / diag))
+        levels.append(AMGLevel(a=current, prolongation=p))
         current = spgemm(spgemm(p.transpose(), current), p)
-    diag = current.diagonal()
-    if bool((diag == 0.0).any()):
-        raise SolverError("AMG requires a zero-free diagonal on every level")
-    levels.append(AMGLevel(a=current, prolongation=None, inv_diag=1.0 / diag))
+    _inverse_diagonal(current, f"AMG level {len(levels)}")
+    levels.append(AMGLevel(a=current, prolongation=None))
     return levels
 
 
@@ -107,15 +102,14 @@ class MatchingAMGPrecond(Preconditioner):
     name = "MatchingAMGPrecond"
 
     def __init__(self, a: CSRMatrix, *, smoother: str = "jacobi"):
-        if smoother not in ("jacobi", "gauss-seidel"):
+        kinds = {"jacobi": WeightedJacobi, "gauss-seidel": ColoredGaussSeidel}
+        if smoother not in kinds:
             raise SolverError(f"unknown smoother {smoother!r}")
         self.levels = build_hierarchy(a)
         self.smoother_kind = smoother
-        self._gs = None
-        if smoother == "gauss-seidel":
-            from .smoothers import ColoredGaussSeidel
-
-            self._gs = [ColoredGaussSeidel(lvl.a) for lvl in self.levels[:-1]]
+        self._smoothers = [kinds[smoother](lvl.a) for lvl in self.levels[:-1]]
+        # symmetrised Gauss-Seidel: the post-sweep visits the colors backward
+        self._post_sweep = {"reverse": True} if smoother == "gauss-seidel" else {}
         self._coarse_dense = self.levels[-1].a.to_dense()
         try:
             self._coarse_inv = np.linalg.inv(self._coarse_dense)
@@ -148,24 +142,17 @@ class MatchingAMGPrecond(Preconditioner):
         return sum(lvl.a.nnz for lvl in self.levels) / base
 
     # -- V-cycle ------------------------------------------------------------
-    def _smooth(
-        self, idx: int, x: np.ndarray, b: np.ndarray, *, reverse: bool = False
-    ) -> np.ndarray:
-        level = self.levels[idx]
-        if self._gs is not None:
-            return self._gs[idx].smooth(x, b, reverse=reverse)
-        return x + 2.0 / 3.0 * level.inv_diag * (b - level.a.matvec(x))
-
     def _cycle(self, idx: int, b: np.ndarray) -> np.ndarray:
         level = self.levels[idx]
         if level.prolongation is None:
             return self._coarse_inv @ b
-        x = self._smooth(idx, np.zeros_like(b), b)
+        smoother = self._smoothers[idx]
+        x = smoother.smooth(np.zeros_like(b), b)
         residual = b - level.a.matvec(x)
         coarse_b = level.prolongation.transpose().matvec(residual)
         coarse_x = self._cycle(idx + 1, coarse_b)
         x = x + level.prolongation.matvec(coarse_x)
-        return self._smooth(idx, x, b, reverse=True)
+        return smoother.smooth(x, b, **self._post_sweep)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=VALUE_DTYPE)

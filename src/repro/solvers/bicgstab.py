@@ -9,32 +9,12 @@ against an optional known true solution, matching the two panels of Figure 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .._validation import VALUE_DTYPE
-from ..errors import ShapeError
-from ..obs import current_metrics, trace_span
-from .monitor import ConvergenceHistory
+from .monitor import _BREAKDOWN_EPS, BiCGStabResult, _krylov_run
 
 __all__ = ["BiCGStabResult", "bicgstab"]
-
-_BREAKDOWN_EPS = 1e-300
-
-
-@dataclass(frozen=True)
-class BiCGStabResult:
-    x: np.ndarray
-    history: ConvergenceHistory
-
-    @property
-    def converged(self) -> bool:
-        return self.history.converged
-
-
-def _norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v))
 
 
 def bicgstab(
@@ -64,109 +44,48 @@ def bicgstab(
     (ρ or ω collapsing) the solve stops early with
     ``history.breakdown`` set.
     """
-    b = np.asarray(b, dtype=VALUE_DTYPE)
-    n = b.size
-    x = np.zeros(n, dtype=VALUE_DTYPE) if x0 is None else np.array(x0, dtype=VALUE_DTYPE)
-    if x.shape != b.shape:
-        raise ShapeError("x0 must have the same shape as b")
+    with _krylov_run(
+        "bicgstab", b, preconditioner=preconditioner, x0=x0, tol=tol,
+        max_iterations=max_iterations, true_solution=true_solution,
+    ) as run:
 
-    def apply_m(v: np.ndarray) -> np.ndarray:
-        return v if preconditioner is None else preconditioner.apply(v)
+        def steps(x, r):
+            history = run.history
+            r0 = r.copy()
+            rho_old = alpha = omega = 1.0
+            v = np.zeros(r.size, dtype=VALUE_DTYPE)
+            p = np.zeros(r.size, dtype=VALUE_DTYPE)
+            for _ in range(max_iterations):
+                rho = float(r0 @ r)
+                if abs(rho) < _BREAKDOWN_EPS:
+                    history.breakdown = "rho"
+                    return
+                beta = (rho / rho_old) * (alpha / omega)
+                p = r + beta * (p - omega * v)
+                p_hat = run.apply_m(p)
+                v = a.matvec(p_hat)
+                denom = float(r0 @ v)
+                if abs(denom) < _BREAKDOWN_EPS:
+                    history.breakdown = "r0.v"
+                    return
+                alpha = rho / denom
+                s = r - alpha * v
+                if run.relative(s) < tol:
+                    yield x + alpha * p_hat, s
+                    return
+                s_hat = run.apply_m(s)
+                t = a.matvec(s_hat)
+                tt = float(t @ t)
+                if tt < _BREAKDOWN_EPS:
+                    history.breakdown = "t.t"
+                    return
+                omega = float(t @ s) / tt
+                x = x + alpha * p_hat + omega * s_hat
+                r = s - omega * t
+                yield x, r
+                if abs(omega) < _BREAKDOWN_EPS:
+                    history.breakdown = "omega"
+                    return
+                rho_old = rho
 
-    history = ConvergenceHistory()
-    metrics = current_metrics()
-    b_norm = _norm(b)
-    if b_norm == 0.0:
-        b_norm = 1.0
-    xt_norm = None
-    if true_solution is not None:
-        true_solution = np.asarray(true_solution, dtype=VALUE_DTYPE)
-        xt_norm = _norm(true_solution)
-        if xt_norm == 0.0:
-            xt_norm = 1.0
-
-    def record(r: np.ndarray) -> float:
-        rel = _norm(r) / b_norm
-        history.relative_residuals.append(rel)
-        if metrics is not None and not np.isnan(rel):
-            # a NaN residual (total numerical breakdown) stays visible in
-            # the history; the histogram rejects NaN by contract
-            metrics.histogram("solver.relative_residual").observe(rel)
-        if true_solution is not None:
-            history.forward_errors.append(_norm(x - true_solution) / xt_norm)
-        return rel
-
-    with trace_span(
-        "bicgstab",
-        category="solver",
-        n=n,
-        tol=tol,
-        max_iterations=max_iterations,
-        preconditioner=getattr(preconditioner, "name", None),
-    ) as span:
-
-        def finish() -> BiCGStabResult:
-            if metrics is not None:
-                metrics.counter("solver.iterations").inc(history.n_iterations)
-                metrics.gauge("solver.final_residual").set(history.final_residual)
-            if span is not None:
-                span.attributes.update(
-                    iterations=history.n_iterations,
-                    converged=history.converged,
-                    final_residual=history.final_residual,
-                )
-                if history.breakdown is not None:
-                    span.attributes["breakdown"] = history.breakdown
-            return BiCGStabResult(x=x, history=history)
-
-        r = b - a.matvec(x)
-        r0 = r.copy()
-        if record(r) < tol:
-            history.converged = True
-            return finish()
-
-        rho_old = 1.0
-        alpha = 1.0
-        omega = 1.0
-        v = np.zeros(n, dtype=VALUE_DTYPE)
-        p = np.zeros(n, dtype=VALUE_DTYPE)
-
-        for _ in range(max_iterations):
-            rho = float(r0 @ r)
-            if abs(rho) < _BREAKDOWN_EPS:
-                history.breakdown = "rho"
-                break
-            beta = (rho / rho_old) * (alpha / omega)
-            p = r + beta * (p - omega * v)
-            p_hat = apply_m(p)
-            v = a.matvec(p_hat)
-            denom = float(r0 @ v)
-            if abs(denom) < _BREAKDOWN_EPS:
-                history.breakdown = "r0.v"
-                break
-            alpha = rho / denom
-            s = r - alpha * v
-            if _norm(s) / b_norm < tol:
-                x = x + alpha * p_hat
-                record(s)
-                history.converged = True
-                break
-            s_hat = apply_m(s)
-            t = a.matvec(s_hat)
-            tt = float(t @ t)
-            if tt < _BREAKDOWN_EPS:
-                history.breakdown = "t.t"
-                break
-            omega = float(t @ s) / tt
-            x = x + alpha * p_hat + omega * s_hat
-            r = s - omega * t
-            rel = record(r)
-            if rel < tol:
-                history.converged = True
-                break
-            if abs(omega) < _BREAKDOWN_EPS:
-                history.breakdown = "omega"
-                break
-            rho_old = rho
-
-        return finish()
+        return run.drive(a, steps)

@@ -11,14 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import VALUE_DTYPE
-from ..errors import ShapeError
-from .bicgstab import BiCGStabResult, _norm
-from .monitor import ConvergenceHistory
+from .monitor import _BREAKDOWN_EPS, BiCGStabResult, _krylov_run
 
 __all__ = ["cg"]
-
-_BREAKDOWN_EPS = 1e-300
 
 
 def cg(
@@ -36,55 +31,31 @@ def cg(
     Returns the same result type as :func:`repro.solvers.bicgstab` (solution
     plus :class:`~repro.solvers.monitor.ConvergenceHistory`).
     """
-    b = np.asarray(b, dtype=VALUE_DTYPE)
-    n = b.size
-    x = np.zeros(n, dtype=VALUE_DTYPE) if x0 is None else np.array(x0, dtype=VALUE_DTYPE)
-    if x.shape != b.shape:
-        raise ShapeError("x0 must have the same shape as b")
+    with _krylov_run(
+        "cg", b, preconditioner=preconditioner, x0=x0, tol=tol,
+        max_iterations=max_iterations, true_solution=true_solution,
+    ) as run:
 
-    def apply_m(v: np.ndarray) -> np.ndarray:
-        return v if preconditioner is None else preconditioner.apply(v)
+        def steps(x, r):
+            z = run.apply_m(r)
+            p = z.copy()
+            rz = float(r @ z)
+            for _ in range(max_iterations):
+                ap = a.matvec(p)
+                denom = float(p @ ap)
+                if abs(denom) < _BREAKDOWN_EPS:
+                    run.history.breakdown = "p.Ap"
+                    return
+                alpha = rz / denom
+                x = x + alpha * p
+                r = r - alpha * ap
+                yield x, r
+                z = run.apply_m(r)
+                rz_new = float(r @ z)
+                if abs(rz) < _BREAKDOWN_EPS:
+                    run.history.breakdown = "r.z"
+                    return
+                p = z + (rz_new / rz) * p
+                rz = rz_new
 
-    history = ConvergenceHistory()
-    b_norm = _norm(b) or 1.0
-    xt_norm = None
-    if true_solution is not None:
-        true_solution = np.asarray(true_solution, dtype=VALUE_DTYPE)
-        xt_norm = _norm(true_solution) or 1.0
-
-    def record(r: np.ndarray) -> float:
-        rel = _norm(r) / b_norm
-        history.relative_residuals.append(rel)
-        if true_solution is not None:
-            history.forward_errors.append(_norm(x - true_solution) / xt_norm)
-        return rel
-
-    r = b - a.matvec(x)
-    if record(r) < tol:
-        history.converged = True
-        return BiCGStabResult(x=x, history=history)
-    z = apply_m(r)
-    p = z.copy()
-    rz = float(r @ z)
-
-    for _ in range(max_iterations):
-        ap = a.matvec(p)
-        denom = float(p @ ap)
-        if abs(denom) < _BREAKDOWN_EPS:
-            history.breakdown = "p.Ap"
-            break
-        alpha = rz / denom
-        x = x + alpha * p
-        r = r - alpha * ap
-        if record(r) < tol:
-            history.converged = True
-            break
-        z = apply_m(r)
-        rz_new = float(r @ z)
-        if abs(rz) < _BREAKDOWN_EPS:
-            history.breakdown = "r.z"
-            break
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-
-    return BiCGStabResult(x=x, history=history)
+        return run.drive(a, steps)

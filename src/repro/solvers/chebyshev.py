@@ -17,14 +17,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import VALUE_DTYPE, check_square
-from ..errors import ShapeError, SolverError
+from ..errors import SolverError
 from ..sparse.csr import CSRMatrix
-from .bicgstab import BiCGStabResult, _norm
 from .lanczos import estimate_condition
-from .monitor import ConvergenceHistory
+from .monitor import BiCGStabResult, _krylov_run
+from .preconditioners import JacobiPrecond
 
 __all__ = ["ChebyshevSmoother", "chebyshev"]
+
+
+def _chebyshev_steps(a, x, r, lo: float, hi: float, apply_m, count: int):
+    """Yield ``(x, r)`` after each of ``count`` steps of the preconditioned
+    Chebyshev iteration on ``[lo, hi]`` (Saad, *Iterative Methods*,
+    Alg. 12.1) from iterate ``x`` with residual ``r``."""
+    theta = (hi + lo) / 2.0
+    delta = (hi - lo) / 2.0 if hi > lo else theta / 2.0
+    sigma1 = theta / delta
+    rho = 1.0 / sigma1
+    d = apply_m(r) / theta
+    for step in range(count):
+        if step:  # the next direction, only when another step follows
+            rho_new = 1.0 / (2.0 * sigma1 - rho)
+            d = rho_new * rho * d + (2.0 * rho_new / delta) * apply_m(r)
+            rho = rho_new
+        x = x + d
+        r = r - a.matvec(d)
+        yield x, r
 
 
 def chebyshev(
@@ -45,59 +63,22 @@ def chebyshev(
     10 % for safety.  The three-term recurrence follows Saad, *Iterative
     Methods*, Alg. 12.1.
     """
-    b = np.asarray(b, dtype=VALUE_DTYPE)
-    n = b.size
-    x = np.zeros(n, dtype=VALUE_DTYPE) if x0 is None else np.array(x0, dtype=VALUE_DTYPE)
-    if x.shape != b.shape:
-        raise ShapeError("x0 must have the same shape as b")
-
-    def apply_m(v):
-        return v if preconditioner is None else preconditioner.apply(v)
-
-    if eig_bounds is None:
-        est = estimate_condition(a, preconditioner=preconditioner, n_iterations=30, n=n)
-        lo, hi = 0.9 * est.eig_min, 1.1 * est.eig_max
-    else:
-        lo, hi = eig_bounds
-    if not (0.0 < lo <= hi):
-        raise SolverError(f"invalid eigenvalue bounds ({lo}, {hi})")
-
-    theta = (hi + lo) / 2.0
-    delta = (hi - lo) / 2.0 if hi > lo else theta / 2.0
-    sigma1 = theta / delta
-
-    history = ConvergenceHistory()
-    b_norm = _norm(b) or 1.0
-    xt_norm = None
-    if true_solution is not None:
-        true_solution = np.asarray(true_solution, dtype=VALUE_DTYPE)
-        xt_norm = _norm(true_solution) or 1.0
-
-    r = b - a.matvec(x)
-
-    def record():
-        rel = _norm(r) / b_norm
-        history.relative_residuals.append(rel)
-        if true_solution is not None:
-            history.forward_errors.append(_norm(x - true_solution) / xt_norm)
-        return rel
-
-    if record() < tol:
-        history.converged = True
-        return BiCGStabResult(x=x, history=history)
-
-    rho = 1.0 / sigma1
-    d = apply_m(r) / theta
-    for _ in range(max_iterations):
-        x = x + d
-        r = r - a.matvec(d)
-        if record() < tol:
-            history.converged = True
-            break
-        rho_new = 1.0 / (2.0 * sigma1 - rho)
-        d = rho_new * rho * d + (2.0 * rho_new / delta) * apply_m(r)
-        rho = rho_new
-    return BiCGStabResult(x=x, history=history)
+    with _krylov_run(
+        "chebyshev", b, preconditioner=preconditioner, x0=x0, tol=tol,
+        max_iterations=max_iterations, true_solution=true_solution,
+    ) as run:
+        if eig_bounds is None:
+            est = estimate_condition(
+                a, preconditioner=preconditioner, n_iterations=30, n=run.b.size
+            )
+            lo, hi = 0.9 * est.eig_min, 1.1 * est.eig_max
+        else:
+            lo, hi = eig_bounds
+        if not (0.0 < lo <= hi):
+            raise SolverError(f"invalid eigenvalue bounds ({lo}, {hi})")
+        return run.drive(
+            a, lambda x, r: _chebyshev_steps(a, x, r, lo, hi, run.apply_m, max_iterations)
+        )
 
 
 class ChebyshevSmoother:
@@ -105,43 +86,24 @@ class ChebyshevSmoother:
 
     ``hi`` is estimated from a few Lanczos iterations on ``D⁻¹A`` (the
     diagonally preconditioned operator, the standard choice).  Each sweep
-    applies a degree-``degree`` Chebyshev polynomial in ``D⁻¹A``.
+    applies a degree-``degree`` Chebyshev polynomial in ``D⁻¹A``: that many
+    steps of the solver's recurrence, preconditioned by
+    :class:`~repro.solvers.JacobiPrecond`.
     """
 
     def __init__(self, a: CSRMatrix, *, degree: int = 3):
-        check_square(a.shape)
-        diag = a.diagonal()
-        if bool((diag == 0.0).any()):
-            raise SolverError("Chebyshev smoothing requires a zero-free diagonal")
+        self._jacobi = JacobiPrecond(a)
         self.a = a
         self.degree = int(degree)
-        self._inv_diag = 1.0 / diag
-
-        class _Jac:
-            def __init__(self, inv):
-                self._inv = inv
-
-            def apply(self, r):
-                return r * self._inv
-
-        est = estimate_condition(
-            a, preconditioner=_Jac(self._inv_diag), n_iterations=12
-        )
+        est = estimate_condition(a, preconditioner=self._jacobi, n_iterations=12)
         self.hi = 1.1 * est.eig_max
         self.lo = self.hi / 30.0
 
     def smooth(self, x: np.ndarray, b: np.ndarray, *, sweeps: int = 1) -> np.ndarray:
-        theta = (self.hi + self.lo) / 2.0
-        delta = (self.hi - self.lo) / 2.0
-        sigma1 = theta / delta
         for _ in range(sweeps):
             r = b - self.a.matvec(x)
-            rho = 1.0 / sigma1
-            d = self._inv_diag * r / theta
-            for _ in range(self.degree):
-                x = x + d
-                r = r - self.a.matvec(d)
-                rho_new = 1.0 / (2.0 * sigma1 - rho)
-                d = rho_new * rho * d + (2.0 * rho_new / delta) * (self._inv_diag * r)
-                rho = rho_new
+            for x, _ in _chebyshev_steps(
+                self.a, x, r, self.lo, self.hi, self._jacobi.apply, self.degree
+            ):
+                pass
         return x

@@ -50,6 +50,16 @@ __all__ = [
 ]
 
 
+def _inverse_diagonal(a: CSRMatrix, what: str) -> np.ndarray:
+    """``1 / diag(A)`` of a square ``a``; a zero on the diagonal is refused
+    with a :class:`~repro.errors.SolverError` that names ``what`` needs it."""
+    check_square(a.shape)
+    diag = a.diagonal()
+    if bool((diag == 0.0).any()):
+        raise SolverError(f"{what} requires a zero-free diagonal")
+    return 1.0 / diag
+
+
 class Preconditioner:
     """Base class: ``apply(r)`` returns ``M⁻¹ r``."""
 
@@ -78,11 +88,7 @@ class JacobiPrecond(Preconditioner):
     name = "Jacobi"
 
     def __init__(self, a: CSRMatrix):
-        check_square(a.shape)
-        diag = a.diagonal()
-        if bool((diag == 0.0).any()):
-            raise SolverError("Jacobi preconditioner requires a zero-free diagonal")
-        self._inv_diag = 1.0 / diag
+        self._inv_diag = _inverse_diagonal(a, "Jacobi preconditioner")
         self.coverage = 0.0
 
     def apply(self, r: np.ndarray) -> np.ndarray:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import VALUE_DTYPE, check_square
+from .._validation import VALUE_DTYPE
 from ..core.coloring import color_graph
-from ..errors import SolverError
 from ..sparse.csr import CSRMatrix
+from .preconditioners import _inverse_diagonal
 
 __all__ = ["ColoredGaussSeidel", "WeightedJacobi"]
 
@@ -24,12 +24,8 @@ class WeightedJacobi:
     """x ← x + ω D⁻¹ (b − A x) with ω = 2/3."""
 
     def __init__(self, a: CSRMatrix):
-        check_square(a.shape)
-        diag = a.diagonal()
-        if bool((diag == 0.0).any()):
-            raise SolverError("Jacobi smoothing requires a zero-free diagonal")
         self.a = a
-        self._inv_diag = 1.0 / diag
+        self._inv_diag = _inverse_diagonal(a, "Jacobi smoothing")
 
     def smooth(self, x: np.ndarray, b: np.ndarray, *, sweeps: int = 1) -> np.ndarray:
         for _ in range(sweeps):
@@ -47,12 +43,8 @@ class ColoredGaussSeidel:
     """
 
     def __init__(self, a: CSRMatrix):
-        check_square(a.shape)
-        diag = a.diagonal()
-        if bool((diag == 0.0).any()):
-            raise SolverError("Gauss-Seidel smoothing requires a zero-free diagonal")
         self.a = a
-        self._inv_diag = 1.0 / diag
+        self._inv_diag = _inverse_diagonal(a, "Gauss-Seidel smoothing")
         self.colors = color_graph(a)
         self.n_colors = int(self.colors.max(initial=-1)) + 1
         self._classes = [

@@ -186,10 +186,18 @@ class CSRMatrix:
         return order
 
     def is_symmetric(self, tol: float = 0.0) -> bool:
-        """Exact (or ``tol``-approximate) numeric symmetry check."""
+        """Exact (or ``tol``-approximate) numeric symmetry check.
+
+        Equal mirrored entries always match, an infinity mirrored by itself
+        too; only the unequal ones are held to ``tol`` (a NaN never matches).
+        """
         order = self._mirror_order()
-        return order is not None and bool(
-            np.all(np.abs(self.data - self.data[order]) <= tol)
+        if order is None:
+            return False
+        mirror = self.data[order]
+        unequal = self.data != mirror
+        return not unequal.any() or bool(
+            np.all(np.abs(self.data[unequal] - mirror[unequal]) <= tol)
         )
 
     def is_pattern_symmetric(self) -> bool:

@@ -14,6 +14,7 @@ from repro.core import (
     parallel_factor,
 )
 from repro.core.ablations import (
+    ReferenceScan,
     UnsafeInPlaceScan,
     merged_linear_forest,
     propose_accept_factor,
@@ -21,6 +22,8 @@ from repro.core.ablations import (
 )
 from repro.core.factor import propose_edges
 from repro.core.structures import NO_PARTNER
+from repro.device import DeviceGroup
+from repro.errors import ScanError
 from repro.graphs import random_02_factor, random_weighted_graph
 from repro.sparse import from_edges, prepare_graph
 
@@ -157,6 +160,17 @@ def test_unsafe_in_place_scan_corrupts_results():
     safe = BidirectionalScan(f).run(AddOperator())
     unsafe = UnsafeInPlaceScan(f).run(AddOperator())
     assert not np.array_equal(safe.payload["r"], unsafe.payload["r"])
+
+
+def test_reference_scan_refuses_a_device_group():
+    """The exhaustive scan launches on one device: a group is refused by
+    name, not with an AttributeError from the missing ``launch``."""
+    f = Factor.from_edge_list(8, 2, np.arange(7), np.arange(1, 8))
+    with pytest.raises(ScanError, match="one device, not a DeviceGroup of 3"):
+        ReferenceScan(f, device=DeviceGroup(3)).run(AddOperator())
+    # the in-place ablation never launches, so a group does not bother it
+    unsafe = UnsafeInPlaceScan(f, device=DeviceGroup(3)).run(AddOperator())
+    np.testing.assert_array_equal(unsafe.q, UnsafeInPlaceScan(f).run(AddOperator()).q)
 
 
 def test_unsafe_scan_harmless_on_singletons():

@@ -1,8 +1,8 @@
 """Property tests: the row-local proposal order equals the lexsort.
 
 ``csr_proposal_order(graph, lo, hi)`` sorts each CSR row of ``[lo, hi)`` on
-its own: one padded ``np.argsort(axis=1)`` when the rows are long enough and
-the padding stays small, else the global ``proposal_order``.  Either way it
+its own: one padded ``np.argsort(axis=1)`` when the padding stays small,
+else (a hub row) the global ``proposal_order``.  Either way it
 must equal ``np.lexsort((position, -data, rows))`` over the range's
 nonzeros, entry for entry: ties, signed zeros, infinities and float32
 values included.  The engines pass only the non-negative weights that
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import proposer
-from repro.core.proposer import PADDED_MIN_DEGREE, csr_proposal_order
+from repro.core.proposer import csr_proposal_order
 from repro.sparse.csr import CSRMatrix
 
 SPECIAL = [0.0, -0.0, 1.0, 2.5, 1e-300, 7.0, np.inf, -1.0, -np.inf, np.nan]
@@ -89,7 +89,7 @@ def global_sorts(monkeypatch):
 
 
 def test_long_rows_take_the_padded_sort(global_sorts):
-    counts = [PADDED_MIN_DEGREE, 0, 3, PADDED_MIN_DEGREE + 2, 5]
+    counts = [8, 0, 3, 10, 5]
     values = np.tile([2.0, 0.0, -0.0, 2.0, np.inf, -1.0, np.nan], 6)[: sum(counts)]
     graph = csr_of(counts, values, np.float64)
     for lo, hi in [(0, 5), (0, 1), (3, 4), (1, 4)]:
@@ -98,18 +98,19 @@ def test_long_rows_take_the_padded_sort(global_sorts):
 
 
 def test_a_single_row():
-    for count in (1, PADDED_MIN_DEGREE, 30):
+    for count in (1, 8, 30):
         graph = csr_of([count], np.ones(count), np.float32)  # all tied
         assert_matches_lexsort(graph, 0, 1)
         assert_matches_lexsort(graph, 0, 0)
         assert_matches_lexsort(graph, 1, 1)
 
 
-def test_short_rows_take_the_global_sort(global_sorts):
-    counts = [PADDED_MIN_DEGREE - 1, 2, 0, 4]
+def test_short_rows_take_the_padded_sort(global_sorts):
+    # rows of at most 7 entries, ecology1's case (d_max 4) among them
+    counts = [7, 2, 0, 4]
     graph = csr_of(counts, np.arange(sum(counts), dtype=float) % 3, np.float64)
     assert_matches_lexsort(graph, 0, 4)
-    assert global_sorts == [sum(counts)]
+    assert global_sorts == []
 
 
 def test_a_hub_row_takes_the_global_sort(global_sorts):

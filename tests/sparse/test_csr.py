@@ -1,5 +1,7 @@
 """Unit tests for the CSR format."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,32 @@ def test_symmetry_checks(small_dense):
     assert asym.is_pattern_symmetric()
     pattern_asym = from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert not pattern_asym.is_pattern_symmetric()
+
+
+def _pairs(first, second):
+    """The 3×3 graph whose two mirrored pairs (0, 1) and (1, 2) hold
+    ``first`` and ``second``: data order (0,1), (1,0), (1,2), (2,1)."""
+    return CSRMatrix(
+        indptr=[0, 1, 3, 4], indices=[1, 0, 2, 1],
+        data=[first[0], first[1], second[0], second[1]], shape=(3, 3),
+    )
+
+
+def test_mirrored_infinities_are_symmetric():
+    """inf − inf is NaN: a subtract-then-compare test read a mirrored +inf
+    pair as asymmetric, and prepare_graph returned A' + A'^T, every finite
+    weight doubled, after a RuntimeWarning."""
+    inf, nan = np.inf, np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = _pairs((inf, inf), (1.0, 1.0))
+        assert a.is_symmetric()
+        assert a.is_symmetric(tol=1e-12)
+        assert prepare_graph(a).data.tolist() == [inf, inf, 1.0, 1.0]
+        for first in ((nan, nan), (inf, -inf)):
+            b = _pairs(first, (1.0, 1.0))
+            assert not b.is_symmetric()
+            assert not b.is_symmetric(tol=1e-12)
 
 
 def test_permute_round_trip(small_dense, rng):

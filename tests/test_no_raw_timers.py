@@ -1,12 +1,13 @@
-"""Lint: all timing in the library flows through the device/tracer clocks.
+"""Lint: all timing in the library reads the tracer's one clock.
 
 Raw ``time.perf_counter()`` calls scattered through the library would
-produce timings invisible to the tracer and the run reports; the two
-sanctioned clock owners are the simulated device (``src/repro/device/``)
-and the tracer module (``src/repro/obs/tracer.py``), which publishes the
-one blessed handle as :data:`repro.obs.tracer.monotonic_clock`.  Everything
-else — including the rest of ``obs/`` (the aggregator, the telemetry
-schedule) and the whole serve layer — must time itself through
+produce timings invisible to the tracer and the run reports, read from a
+clock of their own.  The one sanctioned clock owner is the tracer module
+(``src/repro/obs/tracer.py``), which publishes the blessed handle as
+:data:`repro.obs.tracer.monotonic_clock`.  Everything else — the simulated
+device's launch records and phase timers (``src/repro/device/``), the rest
+of ``obs/`` (the aggregator, the telemetry schedule) and the whole serve
+layer — reads ``monotonic_clock``, or times itself through
 ``Device.launch``, ``PhaseTimer.measure``, a span, or an injected
 ``clock=`` parameter defaulting to ``monotonic_clock``.  That injection
 seam is what makes latency quantiles, rolling windows and tail-sampling
@@ -20,8 +21,8 @@ from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "repro"
 
-#: Directories whose files may hold raw timers.
-ALLOWED_DIRS = ("device",)
+#: Directories whose files may hold raw timers: none.
+ALLOWED_DIRS = ()
 #: Individual files that may hold raw timers.
 ALLOWED_FILES = ("obs/tracer.py",)
 
@@ -41,7 +42,7 @@ def test_no_raw_timers_outside_device_and_tracer():
             if needle in text:
                 offenders.append(f"{rel}: {needle}")
     assert not offenders, (
-        "raw timer calls outside src/repro/device/ and obs/tracer.py "
-        "(route timing through Device.launch / PhaseTimer / spans, or "
-        f"inject clock=monotonic_clock): {offenders}"
+        "raw timer calls outside obs/tracer.py (read monotonic_clock, route "
+        "timing through Device.launch / PhaseTimer / spans, or inject "
+        f"clock=monotonic_clock): {offenders}"
     )
