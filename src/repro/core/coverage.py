@@ -33,6 +33,7 @@ __all__ = [
     "factor_weight",
     "graph_weight",
     "identity_coverage",
+    "weighted_band_coverage",
 ]
 
 
@@ -95,7 +96,12 @@ def band_coverage(a: CSRMatrix, forest: Factor, perm: np.ndarray, bands) -> floa
     :meth:`Factor.edges` order, exactly as :func:`coverage` sums it, so the
     two agree bit for bit; only ω_G still reads every nonzero of ``A``.
     """
-    total = graph_weight(a)
+    return weighted_band_coverage(graph_weight(a), forest, perm, bands)
+
+
+def weighted_band_coverage(total: float, forest: Factor, perm: np.ndarray, bands) -> float:
+    """:func:`band_coverage` with ω_G given as ``total``: the delta engine
+    reads it from a prepared graph that holds every off-diagonal entry."""
     if total == 0.0:
         return 0.0
     entries = forest.edge_entries()

@@ -37,12 +37,17 @@ re-runs the whole pipeline.  :func:`apply_edits` exploits the locality:
    copy their old band values to their new offsets, recomputed paths read
    their rows of the edited matrix.
 
-The host work follows the edit, not the graph.  Apart from the two CSR
-copies it returns, :func:`apply_edits` reads only the ball, the re-walked
-components or the forest: the prepared graph is spliced from the previous
-one when ``A'`` is symmetric (:func:`_edited_graph`), the ball search stops
-at the fallback cutoff, edited entries are found by a binary search inside
-their rows (:meth:`~repro.sparse.csr.CSRMatrix.find`), and the coverage is
+The host work follows the edit, not the graph.  Apart from copying the
+two CSR matrices it returns and summing ω_G, :func:`apply_edits` reads only
+the ball, the re-walked components or the forest.  Both matrices are spliced
+(:func:`_splice`): edited entries are found by a binary search inside their
+rows (:meth:`~repro.sparse.csr.CSRMatrix.find`), only the span between the
+first and the last of them is rebuilt, and the rest is copied as two
+slices.  The prepared graph is spliced from the previous one when ``A'`` is
+symmetric (:func:`_edited_graph`).  A guard proves that once per chain: the
+result it returns is bound to its matrix (``bound_matrix``), and the next
+batch on that matrix object skips the guard and reads ω_G from the spliced
+graph.  The ball search stops at the fallback cutoff, and the coverage is
 read from the new bands.
 
 The recompute runs on a scratch device and is metered on the caller's device
@@ -64,6 +69,7 @@ protocol has no update path yet.  See ``docs/INCREMENTAL.md``.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -74,9 +80,9 @@ from ..device.device import Device, DeviceGroup
 from ..device.profiler import TimingBreakdown
 from ..errors import ConfigError, ShapeError
 from ..obs import Tracer, current_metrics, trace_span
-from ..sparse.build import is_prepared_symmetric, prepare_graph
+from ..sparse.build import prepare_graph, symmetric_drops
 from ..sparse.csr import CSRMatrix
-from .coverage import band_coverage
+from .coverage import graph_weight, weighted_band_coverage
 from .cycles import BrokenCycles
 from .extraction import TridiagonalSystem
 from .factor import ParallelFactorConfig, parallel_factor
@@ -319,37 +325,77 @@ def _splice(
 ) -> CSRMatrix:
     """``m`` with the entries ``(rows, cols)`` (sorted, unique) dropped and
     the ``sets`` ones inserted again with ``vals``, at their sorted positions
-    among the survivors."""
-    n = m.n_rows
+    among the survivors.
+
+    Only the span from the first edited position to the last is rebuilt.
+    The entries before and after it are copied as two slices, and so are
+    the row pointers outside the edited rows, shifted by the change in the
+    entry count."""
     pos, stored = m.find(rows, cols)
+    lo, hi = int(pos[0]), int(pos[-1] + stored[-1])
     drop = pos[stored]
-    at = pos[sets] - np.searchsorted(drop, pos[sets])
+    kept = np.ones(hi - lo, dtype=bool)
+    kept[drop - lo] = False
+    # where each set entry lands in the new span, after the earlier ones
+    added = pos[sets] - lo - np.searchsorted(drop, pos[sets]) + np.arange(vals.size)
+    width = hi - lo - drop.size + vals.size
+    old = np.ones(width, dtype=bool)
+    old[added] = False
+    shift = width - (hi - lo)
+
+    def spliced(x: np.ndarray, new: np.ndarray) -> np.ndarray:
+        out = np.empty(x.size + shift, dtype=x.dtype)
+        out[:lo] = x[:lo]
+        out[lo + width :] = x[hi:]
+        span = out[lo : lo + width]
+        span[added] = new
+        span[old] = x[lo:hi][kept]
+        return out
+
+    r0, r1 = int(rows[0]), int(rows[-1]) + 1  # the edited rows
     counts = (
-        m.row_lengths
-        - np.bincount(rows[stored], minlength=n)
-        + np.bincount(rows[sets], minlength=n)
+        np.diff(m.indptr[r0 : r1 + 1])
+        - np.bincount(rows[stored] - r0, minlength=r1 - r0)
+        + np.bincount(rows[sets] - r0, minlength=r1 - r0)
     )
-    indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
-    np.cumsum(counts, out=indptr[1:])
+    indptr = np.concatenate(
+        [m.indptr[: r0 + 1], m.indptr[r0] + np.cumsum(counts), m.indptr[r1 + 1 :] + shift]
+    )
     return CSRMatrix(
         indptr=indptr,
-        indices=np.insert(np.delete(m.indices, drop), at, cols[sets]),
-        data=np.insert(np.delete(m.data, drop), at, vals),
+        indices=spliced(m.indices, cols[sets]),
+        data=spliced(m.data, vals),
         shape=m.shape,
     )
 
 
+def _bind(updated: DeltaResult) -> DeltaResult:
+    """Bind ``updated.result`` to ``updated.matrix``: the result is frozen,
+    and the binding is set once, before anyone else sees the result."""
+    object.__setattr__(updated.result, "bound_matrix", weakref.ref(updated.matrix))
+    return updated
+
+
 def _edited_graph(
-    previous: CSRMatrix, a: CSRMatrix, a_new: CSRMatrix, entries: tuple
-) -> CSRMatrix:
-    """``prepare_graph(a_new)``.  When ``previous`` took the symmetric
-    branch of ``prepare_graph(a)``, ``A'`` was symmetric and the symmetric
-    edits keep it so: splicing the edits' ``|w|`` into ``previous`` gives
-    the same arrays without a full preparation."""
-    if not is_prepared_symmetric(previous, a):
-        return prepare_graph(a_new)
+    previous: CSRMatrix, a: CSRMatrix, a_new: CSRMatrix, entries: tuple, bound: bool
+) -> tuple[CSRMatrix, bool]:
+    """``prepare_graph(a_new)``, and whether it is bound to ``a_new``.
+
+    When ``previous`` took the symmetric branch of ``prepare_graph(a)``,
+    ``A'`` was symmetric and the symmetric edits keep it so: splicing the
+    edits' ``|w|`` into ``previous`` gives the same arrays without a full
+    preparation.  ``bound`` says that a binding to ``a`` proved this
+    already; otherwise the guard proves it, and its dropped positions tell
+    whether only the diagonal went.  A set weight is finite and nonzero and
+    a delete drops both directions, so the spliced graph then leaves out
+    only the diagonal of ``a_new`` too, and binds to it."""
+    if not bound:
+        dropped = symmetric_drops(previous, a)
+        if dropped is None:
+            return prepare_graph(a_new), False
+        bound = bool(np.array_equal(a.nnz_rows[dropped], a.indices[dropped]))
     rows, cols, sets, vals = entries
-    return _splice(previous, rows, cols, sets, np.abs(vals))
+    return _splice(previous, rows, cols, sets, np.abs(vals)), bound
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +710,10 @@ class DeltaResult:
     factor round bookkeeping (``frontier_history`` and friends) describes the
     frontier-local recompute rather than a global one.  ``matrix`` is the
     edited original matrix: feed it (with this ``result``) to the next
-    :func:`apply_edits` to chain updates.
+    :func:`apply_edits` to chain updates.  ``result`` may be bound to this
+    very object (:attr:`~repro.core.pipeline.LinearForestResult.bound_matrix`),
+    so that the next batch on it skips the symmetry guard; ``matrix`` must
+    not be changed in place.
     """
 
     result: LinearForestResult
@@ -747,7 +796,6 @@ def apply_edits(
         )
 
     entries = _edit_entries(a, edits)
-    a_new = _splice(a, *entries)
 
     # device resolution is extract_linear_forest's: a group of several
     # devices means a sharded run — which the delta engine cannot splice
@@ -756,7 +804,7 @@ def apply_edits(
     if isinstance(device, DeviceGroup):
         if len(device) > 1:
             return _fallback(
-                edits, a_new, config, "sharded", warn=True,
+                edits, _splice(a, *entries), config, "sharded", warn=True,
                 device=device, compaction=compaction,
             )
         device = device[0]
@@ -769,10 +817,19 @@ def apply_edits(
         n_vertices=a.n_rows,
         n_edits=len(edits),
         radius=radius,
-        dtype=str(a_new.data.dtype),
+        dtype=str(a.data.dtype),
     ) as root:
         with timings.phase(PHASE_FACTOR):
-            graph_new = _edited_graph(previous.graph, a, a_new, entries)
+            with trace_span("delta.splice", category="host") as span:
+                # bound to this very matrix object: the guard proved it once
+                ref = previous.bound_matrix
+                skip_guard = ref is not None and ref() is a
+                a_new = _splice(a, *entries)
+                graph_new, bound = _edited_graph(
+                    previous.graph, a, a_new, entries, skip_guard
+                )
+                if span is not None:
+                    span.attributes["bound"] = skip_guard
             from .frontier import resolve_compaction
 
             policy = resolve_compaction(compaction, graph=graph_new)
@@ -803,10 +860,11 @@ def apply_edits(
             if too_big:
                 if root is not None:
                     root.attributes["fallback"] = "region"
-                return _fallback(
+                updated = _fallback(
                     edits, a_new, config, "region",
                     device=device, compaction=policy, prepared_graph=graph_new,
                 )
+                return _bind(updated) if bound else updated
 
             # frontier-local factor recompute on a scratch device, fused into
             # one launch on the caller's device: bytes are the scratch
@@ -881,7 +939,11 @@ def apply_edits(
                     written=3 * a.n_rows * item,
                 )
 
-        cov = band_coverage(a_new, forest, perm, tridiagonal)
+        with trace_span("delta.coverage", category="host"):
+            # ω_G: a bound graph holds |a_ij| of every off-diagonal entry of
+            # a_new, in the order and dtype that graph_weight sums them
+            total = float(graph_new.data.sum()) / 2.0 if bound else graph_weight(a_new)
+            cov = weighted_band_coverage(total, forest, perm, tridiagonal)
         if root is not None:
             root.attributes.update(
                 coverage=cov,
@@ -922,7 +984,8 @@ def apply_edits(
         coverage=cov,
         timings=timings,
     )
-    return DeltaResult(result=result, matrix=a_new, stats=stats)
+    updated = DeltaResult(result=result, matrix=a_new, stats=stats)
+    return _bind(updated) if bound else updated
 
 
 def _fallback(

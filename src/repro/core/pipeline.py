@@ -9,7 +9,8 @@ scans", "coefficient extraction").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +59,13 @@ class LinearForestResult:
         c_π of the linear forest with respect to the original matrix.
     timings:
         Wall-clock breakdown over the three Figure 6 phases.
+    bound_matrix:
+        A weak reference to the matrix ``A`` of which ``graph`` is exactly
+        ``|A| - diag(|A|)``, with ``A'`` symmetric and only the diagonal
+        dropped.  :func:`~repro.core.delta.apply_edits` sets it once it has
+        proved this, so that the next batch on that very matrix object can
+        skip the proof; ``None`` on every other result, a
+        :func:`dataclasses.replace` copy included.
     """
 
     graph: CSRMatrix
@@ -68,6 +76,9 @@ class LinearForestResult:
     tridiagonal: TridiagonalSystem
     coverage: float
     timings: TimingBreakdown
+    bound_matrix: weakref.ReferenceType | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def forest(self) -> Factor:

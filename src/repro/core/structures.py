@@ -64,10 +64,21 @@ def is_partner(slots: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def compact_rows(neighbors: np.ndarray) -> np.ndarray:
-    """Stably push ``-1`` entries to the end of each row."""
+    """Stably push ``-1`` entries to the end of each row, in a new array.
+
+    Only the rows with an empty slot before a filled one move; they are
+    found one slot column at a time, and the rest is copied as is.
+    """
+    out = neighbors.copy()
     is_empty = neighbors == NO_PARTNER
-    order = np.argsort(is_empty, axis=1, kind="stable")
-    return np.take_along_axis(neighbors, order, axis=1)
+    gap = np.zeros(neighbors.shape[0], dtype=bool)
+    for j in range(neighbors.shape[1] - 1):
+        gap |= is_empty[:, j] & ~is_empty[:, j + 1]
+    rows = np.flatnonzero(gap)
+    if rows.size:
+        order = np.argsort(is_empty[rows], axis=1, kind="stable")
+        out[rows] = np.take_along_axis(neighbors[rows], order, axis=1)
+    return out
 
 
 @dataclass(frozen=True)

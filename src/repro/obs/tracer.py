@@ -79,7 +79,9 @@ class Span:
     ``end`` is ``None`` while the span is open.  ``category`` classifies the
     level of the tree: ``"run"`` (a pipeline entry point), ``"phase"`` (a
     Figure-6 phase), ``"stage"`` (an algorithm stage such as a scan or a
-    proposition round), ``"kernel"`` (one simulated launch), ``"solver"``.
+    proposition round), ``"kernel"`` (one simulated launch), ``"host"`` (an
+    unmetered host step between launches, such as the delta engine's
+    splices), ``"solver"``.
     """
 
     name: str

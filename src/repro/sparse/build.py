@@ -23,6 +23,7 @@ __all__ = [
     "from_edges",
     "is_prepared_symmetric",
     "prepare_graph",
+    "symmetric_drops",
     "symmetrize",
 ]
 
@@ -111,19 +112,27 @@ def is_prepared_symmetric(graph: CSRMatrix, a: CSRMatrix) -> bool:
     only when ``A'`` is symmetric, so for a prepared graph of ``a`` this
     holds exactly when ``A'`` is symmetric.
     """
+    return symmetric_drops(graph, a) is not None
+
+
+def symmetric_drops(graph: CSRMatrix, a: CSRMatrix) -> np.ndarray | None:
+    """The check of :func:`is_prepared_symmetric`, with what it found: the
+    positions of the entries of ``a`` that ``graph`` leaves out (the
+    diagonal, explicit zeros and NaN) when ``graph`` is
+    :func:`absolute_offdiag` of ``a``, else ``None``."""
     if graph.shape != a.shape or graph.dtype != a.dtype:
-        return False
+        return None
     keep = _offdiag_kept(a)
     dropped = np.flatnonzero(~keep)
     if a.nnz - dropped.size != graph.nnz or not np.array_equal(
         graph.row_lengths,
         a.row_lengths - np.bincount(a.nnz_rows[dropped], minlength=a.n_rows),
     ):
-        return False
+        return None
     if not np.array_equal(graph.indices, a.indices[keep]):
-        return False
+        return None
     kept = a.data[keep]
-    return np.array_equal(graph.data, np.abs(kept, out=kept))
+    return dropped if np.array_equal(graph.data, np.abs(kept, out=kept)) else None
 
 
 def add(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:

@@ -19,6 +19,7 @@ from repro.device import Device, DeviceGroup
 from repro.errors import ConfigError, ShapeError
 from repro.graphs import aniso2
 from repro.sparse import CSRMatrix, from_edges
+from tests.properties.test_delta_splice_properties import assert_same_graph
 
 
 def chain(n: int, weight: float = 2.0):
@@ -485,3 +486,153 @@ def test_stats_to_dict_roundtrips_the_fields():
     assert 0.0 < d["reused_fraction"] < 1.0
     assert d["region_vertices"] == updated.stats.region_vertices
     assert updated.coverage == updated.result.coverage
+
+
+# -- a result bound to its matrix: a chained batch skips the guard ------------
+
+
+def window_batch(g: int, step: int) -> EditBatch:
+    """Eight sets, reweights and deletes between the vertices of one 5 x 5
+    window of an aniso2(g) grid, a different window at every step."""
+    rng = np.random.default_rng([g, step])
+    r0, c0 = (3 * step) % (g - 5), 2
+    window = [(r0 + dr) * g + c0 + dc for dr in range(5) for dc in range(5)]
+    dicts = []
+    for _ in range(8):
+        u, v = (int(x) for x in rng.choice(window, size=2, replace=False))
+        if rng.random() < 0.25:
+            dicts.append({"u": u, "v": v, "delete": True})
+        else:
+            dicts.append({"u": u, "v": v, "w": float(rng.uniform(-4.0, 4.0)) or 1.0})
+    return EditBatch.from_dicts(dicts)
+
+
+def counting(monkeypatch, name: str) -> list:
+    """Record every matrix that ``repro.core.delta.<name>`` receives last."""
+    import repro.core.delta as delta_mod
+
+    calls = []
+    real = getattr(delta_mod, name)
+
+    def wrapper(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(delta_mod, name, wrapper)
+    return calls
+
+
+def run_chain(a, steps: int, **kwargs) -> list:
+    """Chain ``steps`` window batches from a cold extraction of ``a``."""
+    g = int(round(np.sqrt(a.n_rows)))
+    previous = extract_linear_forest(a, device=Device(record=False))
+    chained = []
+    for step in range(steps):
+        updated = apply_edits(
+            previous, window_batch(g, step), a, device=Device(record=False), **kwargs
+        )
+        chained.append(updated)
+        a, previous = updated.matrix, updated.result
+    return chained
+
+
+def check_graph_against_scratch(updated):
+    assert_same_graph(updated.result.graph, check_against_scratch(updated).graph)
+
+
+def test_a_symmetric_chain_runs_the_guard_once(monkeypatch):
+    """The first batch proves that the prepared graph is ``|A| - diag(|A|)``
+    of a symmetric ``A'``; the two batches after it reuse the proof, and
+    every batch reads ω_G from the spliced graph instead of the matrix."""
+    guards = counting(monkeypatch, "symmetric_drops")
+    weights = counting(monkeypatch, "graph_weight")
+    chained = run_chain(aniso2(64), 3)
+    assert len(guards) == 1
+    assert weights == []
+    for updated in chained:
+        assert updated.stats.fallback is None
+        assert updated.result.bound_matrix() is updated.matrix
+        check_graph_against_scratch(updated)
+
+
+def test_an_equal_copy_of_the_matrix_runs_the_guard_again(monkeypatch):
+    """The binding names one matrix object: an equal copy proves it anew,
+    and the bits do not change."""
+    (first,) = run_chain(aniso2(64), 1)
+    m = first.matrix
+    copy = CSRMatrix(m.indptr.copy(), m.indices.copy(), m.data.copy(), m.shape)
+    edits = window_batch(64, 1)
+    guards = counting(monkeypatch, "symmetric_drops")
+    bound = apply_edits(first.result, edits, m, device=Device(record=False))
+    assert guards == []
+    guarded = apply_edits(first.result, edits, copy, device=Device(record=False))
+    assert len(guards) == 1 and guards[0] is copy
+    assert same_bits(bound.result, guarded.result)
+    assert guarded.result.bound_matrix() is guarded.matrix
+    check_graph_against_scratch(guarded)
+
+
+def test_a_chained_region_fallback_is_bound(monkeypatch):
+    guards = counting(monkeypatch, "symmetric_drops")
+    chained = run_chain(aniso2(16), 2, max_region_fraction=0.0)
+    assert len(guards) == 1
+    for updated in chained:
+        assert updated.stats.fallback == "region"
+        assert updated.result.bound_matrix() is updated.matrix
+        check_graph_against_scratch(updated)
+
+
+@pytest.mark.parametrize("max_region_fraction", [0.0, 1.0], ids=["fallback", "delta"])
+def test_a_non_symmetric_input_never_binds(monkeypatch, max_region_fraction):
+    guards = counting(monkeypatch, "symmetric_drops")
+    chained = run_chain(
+        scaled(aniso2(16), seed=7), 2, max_region_fraction=max_region_fraction
+    )
+    assert len(guards) == 2
+    for updated in chained:
+        assert updated.result.bound_matrix is None
+        check_graph_against_scratch(updated)
+
+
+@pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero", "nan"])
+def test_a_stored_offdiagonal_zero_or_nan_keeps_graph_weight(monkeypatch, value):
+    """The prepared graph drops an explicit zero or NaN that ω_G counts, so
+    the result is not bound and ω_G is read from the matrix; the coverage
+    equals the scratch run's bit for bit, a NaN included."""
+    a = aniso2(64)
+    # the coupling between the last two vertices, far from every window
+    data = a.data.copy()
+    data[a.find([4095, 4094], [4094, 4095])[0]] = value
+    a = CSRMatrix(a.indptr, a.indices, data, a.shape)
+    weights = counting(monkeypatch, "graph_weight")
+    chained = run_chain(a, 2)
+    assert len(weights) == 2
+    for updated in chained:
+        assert updated.stats.fallback is None
+        assert updated.result.bound_matrix is None
+        fresh = extract_linear_forest(updated.matrix, device=Device(record=False))
+        coverage = np.array([updated.result.coverage, fresh.coverage])
+        assert coverage[0].tobytes() == coverage[1].tobytes()
+        assert np.isnan(coverage[0]) == np.isnan(value)
+
+
+def test_host_spans_name_the_splice_and_the_coverage():
+    """``delta.splice`` (with ``bound``: the guard did not run) and
+    ``delta.coverage`` are host spans under ``apply-edits``; the device
+    still sees exactly the four fused ``delta.*`` launches per batch."""
+    from repro.obs import Tracer, use_tracer
+
+    tracer = Tracer("delta")
+    with use_tracer(tracer):
+        run_chain(aniso2(64), 2)
+    roots = tracer.find(name_prefix="apply-edits")
+    assert len(roots) == 2
+    for root, bound in zip(roots, (False, True)):
+        host = [
+            s for s in tracer.find(category="host")
+            if root.span_id in [p.span_id for p in tracer.ancestors(s)]
+        ]
+        assert [s.name for s in host] == ["delta.splice", "delta.coverage"]
+        assert host[0].attributes["bound"] is bound
+    launches = [s.name for s in tracer.find(category="kernel", name_prefix="delta.")]
+    assert launches == 2 * ["delta.frontier", "delta.factor", "delta.rescan", "delta.extract"]

@@ -11,7 +11,9 @@ The oracles below share no code with the kernels they check:
   and on a group of three;
 * :func:`~repro.core.coverage.coverage` against the formula
   ``Σ(|a_uv| + |a_vu|)/2 / ω_G`` evaluated with :meth:`CSRMatrix.gather`;
-* ``_confirm_mutual`` against a literal loop over (vertex, slot).
+* ``_confirm_mutual`` against a literal loop over (vertex, slot);
+* :func:`~repro.core.structures.compact_rows` against the stable argsort of
+  every row by emptiness, the form it replaced.
 """
 
 import numpy as np
@@ -29,7 +31,7 @@ from repro.core import (
     parallel_factor,
 )
 from repro.core.factor import _confirm_mutual
-from repro.core.structures import NO_PARTNER
+from repro.core.structures import NO_PARTNER, compact_rows
 from repro.device import Device, DeviceGroup
 from repro.sparse import CSRMatrix, prepare_graph
 
@@ -203,3 +205,26 @@ def test_confirm_mutual_refuses_to_overfill_a_row():
     prop_cols = np.array([[1, 2], [0, -1], [0, -1], [-1, -1]])
     with pytest.raises(IndexError):
         _confirm_mutual(confirmed, degree, prop_cols)
+
+
+@given(
+    n_vertices=st.integers(0, 40),
+    n=st.integers(1, 4),
+    holes=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_compact_rows_equals_the_stable_argsort(n_vertices, n, holes, seed):
+    rng = np.random.default_rng(seed)
+    neighbors = rng.integers(0, max(n_vertices, 1), (n_vertices, n))
+    neighbors[rng.random(neighbors.shape) < holes] = NO_PARTNER
+    before = neighbors.copy()
+    # the oracle: every row sorted stably by emptiness
+    order = np.argsort(neighbors == NO_PARTNER, axis=1, kind="stable")
+    want = np.take_along_axis(neighbors, order, axis=1)
+    got = compact_rows(neighbors)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(neighbors, before)
+    # a Factor owns its array, also when no row moves
+    assert not np.shares_memory(got, neighbors)
+    assert not np.shares_memory(Factor(want).neighbors, want)

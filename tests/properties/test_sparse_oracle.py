@@ -214,3 +214,39 @@ def test_apply_edits_to_matrix_named_cases():
         [1.5, 0.0, 0.0, 0.0],
         [4.0, 0.0, 0.0, 0.0],
     ])
+
+
+# -- the span of the splice ------------------------------------------------------
+# The splice rebuilds only the entries from the first edited position to the
+# last and copies the rest as two slices.  The matrix below has no diagonal
+# entry in row 0, so its first entry is (0, 1), and its rows 4 and 5 are
+# empty, so an edit there lands at position nnz.
+
+SPAN_MATRIX = (
+    [0, 1, 1, 1, 2, 2, 2, 3],
+    [1, 0, 1, 2, 1, 2, 3, 2],
+    [2.0, 2.0, 5.0, -1.0, -1.0, 4.0, 3.0, 3.0],
+    (6, 6),
+)
+SPAN_CASES = {
+    "starts-at-entry-0": [{"u": 1, "v": 0, "w": 7.0}],
+    "inserts-at-nnz": [{"u": 5, "v": 4, "w": 1.5}],
+    "spans-the-whole-matrix": [
+        {"u": 0, "v": 1, "w": -6.0},
+        {"u": 2, "v": 3, "delete": True},
+        {"u": 4, "v": 5, "w": 1.5},
+    ],
+    "deletes-empty-rows": [{"u": 0, "v": 1, "delete": True}, {"u": 3, "v": 2, "delete": True}],
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("edits", list(SPAN_CASES.values()), ids=list(SPAN_CASES))
+def test_apply_edits_to_matrix_at_the_span_ends(edits, dtype):
+    row, col, val, shape = SPAN_MATRIX
+    a = COOMatrix(row, col, np.array(val, dtype=dtype), shape).to_csr()
+    batch = EditBatch.from_dicts(edits)
+    out = apply_edits_to_matrix(a, batch)
+    assert_same_csr(out, dict_reference(a, batch))
+    assert not np.shares_memory(out.indices, a.indices)
+    assert not np.shares_memory(out.data, a.data)
