@@ -29,12 +29,8 @@ import pytest
 from repro.analysis import render_table
 from repro.core import parallel_factor
 from repro.core.ablations import reference_parallel_factor
-from repro.core.scan import (
-    AddOperator,
-    BidirectionalScan,
-    FusedOperator,
-    MinEdgeOperator,
-)
+from repro.core.cycles import labelled_pass
+from repro.core.scan import BidirectionalScan
 from repro.device import Device
 from repro.graphs import tuning_workloads
 from repro.sparse import prepare_graph
@@ -61,7 +57,7 @@ def _measure(graph, spec):
     device = Device()
     result = parallel_factor(graph, device=device, compaction=spec)
     scan = BidirectionalScan(result.factor, device=device, compaction=spec)
-    scan_result = scan.run(FusedOperator((MinEdgeOperator(), AddOperator())), graph)
+    scan_result = scan.run(labelled_pass(), graph)
     nbytes = sum(device.total_bytes(prefix) for prefix in FACTOR_KERNELS)
     nbytes += device.total_bytes(SCAN_PREFIX)
     gather = sum(d.gather_bytes for d in result.compaction_decisions if d.compact)

@@ -83,7 +83,7 @@ from ..obs import Tracer, current_metrics, trace_span
 from ..sparse.build import prepare_graph, symmetric_drops
 from ..sparse.csr import CSRMatrix
 from .coverage import graph_weight, weighted_band_coverage
-from .cycles import BrokenCycles
+from .cycles import BrokenCycles, weakest_edges
 from .extraction import TridiagonalSystem
 from .factor import ParallelFactorConfig, parallel_factor
 from .partition import resolve_device
@@ -542,13 +542,14 @@ def _rescan_region(
     ``region`` is a boolean vertex mask closed under components of
     ``raw_factor`` (no factor edge leaves it).  Each component is walked
     once; every cycle then loses its weakest edge — the lexicographic
-    minimum of the :class:`~repro.core.scan.MinEdgeOperator` triple
-    (|weight|, min endpoint id, max endpoint id), with the weights of all
-    cycles read in one row-local lookup — and becomes the path between that
-    edge's endpoints.  Position 1 sits at a path's smaller end id, which is
-    also its id.  Returns the new per-vertex ``path_id``/``position``/
-    ``cycle_mask`` arrays (previous values outside the region), the full
-    removed-edge pair arrays, and the number of re-walked components.
+    minimum of the triple (|weight|, min endpoint id, max endpoint id),
+    which :func:`~repro.core.cycles.weakest_edges` finds with the component
+    index as the label, as :func:`~repro.core.cycles.break_cycles` does with
+    its cycle labels — and becomes the path between that edge's endpoints.
+    Position 1 sits at a path's smaller end id, which is also its id.
+    Returns the new per-vertex ``path_id``/``position``/``cycle_mask``
+    arrays (previous values outside the region), the full removed-edge pair
+    arrays, and the number of re-walked components.
     """
     ids = np.flatnonzero(region)
     local = np.full(region.size, NO_PARTNER, dtype=INDEX_DTYPE)
@@ -570,9 +571,9 @@ def _rescan_region(
     cyc = np.flatnonzero(is_cycle[comp])
     u = vertex[cyc]
     v = vertex[np.where(offset[cyc] + 1 == size[cyc], first[comp[cyc]], cyc + 1)]
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    order = np.lexsort((hi, lo, np.abs(graph.gather(u, v)), comp[cyc]))
-    weakest = order[np.flatnonzero(np.diff(comp[cyc][order], prepend=-1))]
+    weakest = weakest_edges(graph, comp[cyc], u, v)[0]
+    lo = np.minimum(u[weakest], v[weakest])
+    hi = np.maximum(u[weakest], v[weakest])
     # a cycle becomes the path that starts just past its weakest edge
     shift = np.zeros(lengths.size, dtype=INDEX_DTYPE)
     shift[comp[cyc[weakest]]] = offset[cyc[weakest]] + 1
@@ -596,8 +597,8 @@ def _rescan_region(
     pairs = np.unique(
         np.stack(
             [
-                np.concatenate([old_u[kept], lo[weakest]]),
-                np.concatenate([old_v[kept], hi[weakest]]),
+                np.concatenate([old_u[kept], lo]),
+                np.concatenate([old_v[kept], hi]),
             ],
             axis=1,
         ),

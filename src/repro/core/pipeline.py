@@ -20,14 +20,14 @@ from ..obs import current_metrics, trace_span
 from ..sparse.build import prepare_graph
 from ..sparse.csr import CSRMatrix
 from .coverage import band_coverage
-from .cycles import BrokenCycles, break_cycles
+from .cycles import BrokenCycles, break_cycles, labelled_pass
 from .extraction import TridiagonalSystem, extract_tridiagonal
 from .factor import ParallelFactorConfig, ParallelFactorResult, parallel_factor
 from .frontier import resolve_compaction
 from .partition import VertexPartition, group_attrs, resolve_device
 from .paths import PathInfo, identify_paths
 from .permutation import forest_permutation
-from .scan import AddOperator, BidirectionalScan, FusedOperator, MinEdgeOperator
+from .scan import BidirectionalScan
 from .structures import Factor
 
 __all__ = ["LinearForestResult", "extract_linear_forest"]
@@ -118,14 +118,18 @@ def extract_linear_forest(
     Results are bit-identical for every device count (see
     ``docs/SHARDING.md``).
 
-    With ``merged_scan`` (the default) the cycle scan carries the position
-    accumulator as a fused payload, and every vertex off a cycle keeps the
-    position that single butterfly pass gave it.  Only the broken cycles'
-    lanes jump again, on the broken forest; an acyclic factor — the common
-    case on well-charged factors — needs no second scan at all.  Without
-    it, the position scan re-runs on the whole broken forest exactly as in
-    the paper.  Results are bit-identical either way; only launch counts
-    and bytes moved differ.
+    With ``merged_scan`` (the default) one butterfly pass,
+    :func:`~repro.core.cycles.labelled_pass`, carries a cycle label and the
+    position accumulator per lane.  :func:`~repro.core.cycles.break_cycles`
+    then breaks each cycle at its weakest edge with one segmented minimum
+    over the cycle edges alone, on the host, and every vertex off a cycle
+    keeps the position the pass gave it.  Only the broken cycles' lanes
+    jump again, on the broken forest; an acyclic factor — the common case
+    on well-charged factors — reads no weight and needs no second scan at
+    all.  Without it, the paper's two scans run: the weakest-edge scan
+    (:class:`~repro.core.scan.MinEdgeOperator`), then the position scan on
+    the whole broken forest.  Results are bit-identical either way; only
+    launch counts and bytes moved differ.
 
     ``compaction`` selects the frontier-compaction policy of *both* engines
     (proposition rounds and bidirectional scans) — a policy instance, a spec
@@ -184,8 +188,8 @@ def extract_linear_forest(
                     factor_result.factor, device=device, partition=partition,
                     compaction=policy,
                 )
-                fused = scan.run(FusedOperator((MinEdgeOperator(), AddOperator())), graph)
-                broken = break_cycles(factor_result.factor, scan_result=fused)
+                fused = scan.run(labelled_pass(), graph)
+                broken = break_cycles(factor_result.factor, graph, scan_result=fused)
                 paths = identify_paths(
                     broken.forest, device=device, partition=partition,
                     compaction=policy, scan_result=fused,

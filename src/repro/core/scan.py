@@ -72,8 +72,10 @@ combines of Algorithm 3 lines 15–20, in the same order.
 The payload and its ⊕ are pluggable (the scan is "parameterized on the
 operation" like ``thrust::inclusive_scan``): :class:`AddOperator` computes
 path positions (step 2 of Section 3.3), :class:`MinEdgeOperator` finds the
-weakest edge of each cycle (step 1), and :class:`FusedOperator` runs several
-payloads through one butterfly pass.
+weakest edge of each cycle (step 1), :class:`MaxVertexOperator` labels each
+component (the pipeline's pass breaks its cycles from the labels, see
+:mod:`repro.core.cycles`), and :class:`FusedOperator` runs several payloads
+through one butterfly pass.
 """
 
 from __future__ import annotations
@@ -254,6 +256,11 @@ class MaxVertexOperator:
 
     The paper notes the scan can "find and broadcast a specific value" —
     this is that use: an idempotent maximum, valid on paths *and* cycles.
+    A lane holds the maximum over the segment it covered, so a vertex reads
+    its component's maximum over both of its lanes: on a cycle whose length
+    is a power of two each lane stalls at half the cycle.  The pipeline's
+    pass (:func:`~repro.core.cycles.labelled_pass`) carries it as the cycle
+    label.
     """
 
     label = "max-vertex"

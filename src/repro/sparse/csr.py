@@ -171,19 +171,34 @@ class CSRMatrix:
         """Position of each entry's mirror ``(j, i)``, or ``None`` when the
         pattern is not symmetric.
 
-        The keys ``row·n + col`` ascend in CSR order; one argsort of the
-        mirror keys ``col·n + row`` reproduces them exactly when every entry
-        has a mirror, and then ``order[k]`` is the mirror of entry ``k``.
+        One in-place sort of the packed keys ``(col << b) | k``, where ``k``
+        is the entry's position and ``b`` the bit length of ``nnz - 1``,
+        orders the entries by column and, within a column, by row, since
+        positions rise with the row.  Every entry has a mirror exactly when
+        that order's columns (the keys' high bits) are the CSR rows and its
+        rows are the CSR columns; then ``order[k]`` is the mirror of entry
+        ``k``.
         """
         if self.n_rows != self.n_cols:
             return None
-        n = self.n_rows
+        nnz = self.nnz
+        b = max(nnz - 1, 0).bit_length()
+        require(
+            max(self.n_cols - 1, 0).bit_length() + b <= 63,
+            "the symmetry test packs column and position into one int64, "
+            f"which {self.n_cols} columns and {nnz} entries overflow "
+            "(n and nnz below 2**31 always fit)",
+        )
+        keys = self.indices << b
+        keys |= np.arange(nnz, dtype=INDEX_DTYPE)
+        keys.sort()
         rows = self.nnz_rows
-        mirror_keys = self.indices * n + rows
-        order = np.argsort(mirror_keys)
-        if not np.array_equal(mirror_keys[order], rows * n + self.indices):
+        if not np.array_equal(keys >> b, rows):
             return None
-        return order
+        keys &= (1 << b) - 1
+        if not np.array_equal(rows[keys], self.indices):
+            return None
+        return keys
 
     def is_symmetric(self, tol: float = 0.0) -> bool:
         """Exact (or ``tol``-approximate) numeric symmetry check.

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..core.cycles import labelled_pass
 from ..core.factor import ParallelFactorConfig, parallel_factor
-from ..core.scan import AddOperator, BidirectionalScan, FusedOperator, MinEdgeOperator
+from ..core.scan import BidirectionalScan
 from ..device.device import Device
 from ..errors import ConfigError
 from ..obs import trace_span
@@ -81,7 +82,7 @@ def _measure(graph: CSRMatrix, spec: str, config: ParallelFactorConfig) -> dict:
     device = Device()
     result = parallel_factor(graph, config, device=device, compaction=spec)
     scan = BidirectionalScan(result.factor, device=device, compaction=spec)
-    scan_result = scan.run(FusedOperator((MinEdgeOperator(), AddOperator())), graph)
+    scan_result = scan.run(labelled_pass(), graph)
     nbytes = sum(device.total_bytes(prefix) for prefix in FACTOR_KERNELS)
     nbytes += device.total_bytes(SCAN_PREFIX)
     gather = sum(d.gather_bytes for d in result.compaction_decisions if d.compact)
@@ -118,7 +119,7 @@ def tune_graph(
         device = Device()
         recorded = parallel_factor(graph, config, device=device, compaction="never")
         scan = BidirectionalScan(recorded.factor, device=device, compaction="never")
-        scan_recorded = scan.run(FusedOperator((MinEdgeOperator(), AddOperator())), graph)
+        scan_recorded = scan.run(labelled_pass(), graph)
         factor_log = harvest_factor_log(recorded, config)
         scan_log = harvest_scan_log(scan_recorded, graph.n_rows)
 

@@ -104,6 +104,70 @@ def test_is_symmetric_without_explicit_zeros_is_the_value_test():
     assert not COOMatrix([0], [1], [2.0], (2, 3)).to_csr().is_symmetric()
 
 
+#: nnz at both sides of every change of the symmetry test's packing width
+#: (the bit length of nnz - 1)
+WIDTH_CASES = sorted({m for k in range(1, 11) for m in (2**k, 2**k + 1)})
+
+
+def mirrored_entries(count, n, rng):
+    """``count`` distinct entries of an n×n pattern in mirrored pairs, plus
+    one diagonal entry when ``count`` is odd, with mirrored values."""
+    upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
+    i, j = np.divmod(rng.choice(upper, count // 2, replace=False), n)
+    odd = np.arange(count % 2)
+    vals = rng.integers(1, 5, i.size).astype(float)
+    return (
+        [np.concatenate([i, j, odd])],
+        [np.concatenate([j, i, odd])],
+        [np.concatenate([vals, vals, np.ones(odd.size)])],
+    )
+
+
+def width_case(nnz, variant, seed):
+    """A matrix with exactly ``nnz`` entries: mirrored pairs, and per
+    ``variant`` one unequal mirrored value, one entry without a mirror, or
+    a directed triangle (every row as long as its column, no mirrors) on
+    three vertices of their own."""
+    rng = np.random.default_rng(seed)
+    own = {"symmetric": 0, "unequal": 0, "dangling": 1, "triangle": 3}[variant]
+    n = int(np.ceil(np.sqrt(nnz))) + 2
+    rows, cols, vals = mirrored_entries(nnz - own, n, rng)
+    if variant == "unequal":
+        vals[0][0] += 1
+    extra = [(n, n + 1), (n + 1, n + 2), (n + 2, n)][:own]
+    rows.append(np.array([x for x, _ in extra], dtype=np.int64))
+    cols.append(np.array([y for _, y in extra], dtype=np.int64))
+    vals.append(np.ones(own))
+    return COOMatrix(
+        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (n + 3, n + 3)
+    ).to_csr()
+
+
+@pytest.mark.parametrize("nnz", WIDTH_CASES)
+def test_mirror_order_at_every_packing_width(nnz):
+    variants = ("symmetric", "unequal", "dangling", "triangle")
+    for variant in variants if nnz >= 3 else variants[:3]:
+        ours = width_case(nnz, variant, nnz)
+        assert ours.nnz == nnz
+        theirs = sp.csr_array((ours.data, ours.indices, ours.indptr), shape=ours.shape)
+        pattern = theirs.copy()
+        pattern.data = np.ones_like(pattern.data)
+        pattern_symmetric = (pattern != pattern.T).nnz == 0
+        assert pattern_symmetric == (variant in ("symmetric", "unequal"))
+        assert ours.is_pattern_symmetric() == pattern_symmetric
+        assert ours.is_symmetric() == (variant == "symmetric")
+        assert ours.is_symmetric() == (pattern_symmetric and (theirs != theirs.T).nnz == 0)
+        order = ours._mirror_order()
+        if not pattern_symmetric:
+            assert order is None
+            continue
+        # the mirror of entry k, as one argsort of the mirror keys finds it
+        rows, n = ours.nnz_rows, ours.n_rows
+        assert np.array_equal(order, np.argsort(ours.indices * n + rows, kind="stable"))
+        assert np.array_equal(rows[order], ours.indices)
+        assert np.array_equal(ours.indices[order], rows)
+
+
 @given(triplets(square=True))
 @SETTINGS
 def test_prepare_graph_matches_scipy(t):
