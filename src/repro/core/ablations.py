@@ -61,6 +61,7 @@ from .scan import (
     Payload,
     ScanResult,
     decode_end,
+    edge_weights,
     finish_payload,
     is_path_end,
     operator_label,
@@ -167,9 +168,9 @@ class ReferenceScan(BidirectionalScan):
 class TripleMinEdgeOperator:
     """The paper's weakest-edge ⊕ (Section 3.3 step 1), the triple itself.
 
-    Each lane carries (|weight|, min endpoint, max endpoint) through every
-    launch, (+inf, int64 max, int64 max) on a missing lane, and ⊕ keeps the
-    lexicographic minimum.  :class:`~repro.core.scan.MinEdgeOperator`'s
+    Each lane carries (|weight| of the edge's lighter direction, min
+    endpoint, max endpoint) through every launch, (+inf, int64 max, int64
+    max) on a missing lane, and ⊕ keeps the lexicographic minimum.  :class:`~repro.core.scan.MinEdgeOperator`'s
     finished payload must equal this one bit for bit.
     """
 
@@ -188,7 +189,7 @@ class TripleMinEdgeOperator:
             valid = nbr != NO_PARTNER
             vv = ids[valid]
             nn = nbr[valid]
-            w[valid, lane] = np.abs(graph.gather(vv, nn))
+            w[valid, lane] = edge_weights(graph, vv, nn)
             u[valid, lane] = np.minimum(vv, nn)
             v[valid, lane] = np.maximum(vv, nn)
         return {"w": w, "u": u, "v": v}

@@ -14,12 +14,12 @@ never reached a path end.  The per-cycle minimum comes one of two ways:
 * the paper's form carries the weakest edge itself through the scan (the
   :class:`~repro.core.scan.MinEdgeOperator` payload).
 
-Both order edges by the triple (|weight|, min id, max id) and, on a
-symmetric graph, break the same edges.  Both entry points accept a
-precomputed ``scan_result`` so a caller that has already run a scan of the
-*same factor* — e.g. a :class:`~repro.core.scan.FusedOperator` pass that
-carried the position accumulator as well — does not pay for a second
-butterfly.
+Both order edges by the triple (|weight|, min id, max id), an edge weighing
+the smaller |weight| of its two directions, and break the same edges.  Both
+entry points accept a precomputed ``scan_result`` so a caller that has
+already run a scan of the *same factor* — e.g. a
+:class:`~repro.core.scan.FusedOperator` pass that carried the position
+accumulator as well — does not pay for a second butterfly.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .scan import (
     MinEdgeOperator,
     NullOperator,
     ScanResult,
+    edge_weights,
 )
 from .structures import Factor
 
@@ -76,15 +77,16 @@ def weakest_edges(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The weakest edge of each label among the edges ``here[i]``–``there[i]``.
 
-    An edge weighs the smaller |weight| of its two directions in ``graph``,
-    as its two lanes do in :class:`~repro.core.scan.MinEdgeOperator`, and
-    edges order by (label, |weight|, min endpoint, max endpoint).  Returns,
-    one per distinct label in ascending label order, the index of the first
-    edge in that order and its weight.  A NaN weight has no order and is
+    An edge weighs the smaller |weight| of its two directions in ``graph``
+    (:func:`~repro.core.scan.edge_weights`, as in
+    :class:`~repro.core.scan.MinEdgeOperator`), and edges order by (label,
+    |weight|, min endpoint, max endpoint).  Returns, one per distinct label
+    in ascending label order, the index of the first edge in that order and
+    its weight.  A NaN weight has no order and is
     refused.  A host step over the given edges alone: two weight lookups and
     one lexsort.
     """
-    w = np.minimum(np.abs(graph.gather(here, there)), np.abs(graph.gather(there, here)))
+    w = edge_weights(graph, here, there)
     nan = np.flatnonzero(np.isnan(w))
     if nan.size:
         raise ScanError(
@@ -156,11 +158,8 @@ def break_cycles(
     ``graph`` supplies the edge weights (the prepared adjacency A').  Edges
     are ordered by the unique triple (|weight|, min id, max id), an edge
     weighing the smaller |weight| of its two directions, so each cycle
-    loses exactly one edge and the result is a linear forest.  (The
-    MinEdgeOperator scan keeps that promise on a symmetric graph, as
-    :func:`~repro.sparse.build.prepare_graph` returns; on an asymmetric one
-    each lane of a power-of-two cycle reads half of its directed edges, and
-    its vertices may name different edges.)
+    loses exactly one edge and the result is a linear forest, on an
+    asymmetric graph too.
 
     ``scan_result`` skips the scan: it must be a completed scan of
     ``factor``.  When its payload carries the cycle labels ``m`` of

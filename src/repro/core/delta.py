@@ -43,12 +43,11 @@ the ball, the re-walked components or the forest.  Both matrices are spliced
 (:func:`_splice`): edited entries are found by a binary search inside their
 rows (:meth:`~repro.sparse.csr.CSRMatrix.find`), only the span between the
 first and the last of them is rebuilt, and the rest is copied as two
-slices.  The prepared graph is spliced from the previous one when ``A'`` is
-symmetric (:func:`_edited_graph`).  A guard proves that once per chain: the
-result it returns is bound to its matrix (``bound_matrix``), and the next
-batch on that matrix object skips the guard and reads ω_G from the spliced
-graph.  The ball search stops at the fallback cutoff, and the coverage is
-read from the new bands.
+slices.  The prepared graph is spliced from the previous one when that
+:class:`~repro.sparse.build.PreparedGraph` records the symmetric branch of
+``prepare_graph`` (:func:`_edited_graph`), and ω_G is read from it when it
+also records that only the diagonal was dropped.  The ball search stops at
+the fallback cutoff, and the coverage is read from the new bands.
 
 The recompute runs on a scratch device and is metered on the caller's device
 as four fused ``delta.*`` launches (a region thousands of times smaller than
@@ -69,7 +68,6 @@ protocol has no update path yet.  See ``docs/INCREMENTAL.md``.
 from __future__ import annotations
 
 import warnings
-import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -80,7 +78,7 @@ from ..device.device import Device, DeviceGroup
 from ..device.profiler import TimingBreakdown
 from ..errors import ConfigError, ShapeError
 from ..obs import Tracer, current_metrics, trace_span
-from ..sparse.build import prepare_graph, symmetric_drops
+from ..sparse.build import PreparedGraph, prepare_graph
 from ..sparse.csr import CSRMatrix
 from .coverage import graph_weight, weighted_band_coverage
 from .cycles import BrokenCycles, weakest_edges
@@ -321,11 +319,12 @@ def _edit_entries(
 
 
 def _splice(
-    m: CSRMatrix, rows: np.ndarray, cols: np.ndarray, sets: np.ndarray, vals: np.ndarray
+    m: CSRMatrix, rows: np.ndarray, cols: np.ndarray, sets: np.ndarray, vals: np.ndarray,
+    cls: type = CSRMatrix, **proof,
 ) -> CSRMatrix:
     """``m`` with the entries ``(rows, cols)`` (sorted, unique) dropped and
     the ``sets`` ones inserted again with ``vals``, at their sorted positions
-    among the survivors.
+    among the survivors, built as ``cls(..., **proof)``.
 
     Only the span from the first edited position to the last is rebuilt.
     The entries before and after it are copied as two slices, and so are
@@ -361,41 +360,35 @@ def _splice(
     indptr = np.concatenate(
         [m.indptr[: r0 + 1], m.indptr[r0] + np.cumsum(counts), m.indptr[r1 + 1 :] + shift]
     )
-    return CSRMatrix(
+    return cls(
         indptr=indptr,
         indices=spliced(m.indices, cols[sets]),
         data=spliced(m.data, vals),
         shape=m.shape,
+        **proof,
     )
 
 
-def _bind(updated: DeltaResult) -> DeltaResult:
-    """Bind ``updated.result`` to ``updated.matrix``: the result is frozen,
-    and the binding is set once, before anyone else sees the result."""
-    object.__setattr__(updated.result, "bound_matrix", weakref.ref(updated.matrix))
-    return updated
-
-
 def _edited_graph(
-    previous: CSRMatrix, a: CSRMatrix, a_new: CSRMatrix, entries: tuple, bound: bool
-) -> tuple[CSRMatrix, bool]:
-    """``prepare_graph(a_new)``, and whether it is bound to ``a_new``.
+    previous: CSRMatrix, a_new: CSRMatrix, entries: tuple
+) -> tuple[PreparedGraph, bool]:
+    """``prepare_graph(a_new)``, and whether it was spliced from ``previous``.
 
-    When ``previous`` took the symmetric branch of ``prepare_graph(a)``,
-    ``A'`` was symmetric and the symmetric edits keep it so: splicing the
-    edits' ``|w|`` into ``previous`` gives the same arrays without a full
-    preparation.  ``bound`` says that a binding to ``a`` proved this
-    already; otherwise the guard proves it, and its dropped positions tell
-    whether only the diagonal went.  A set weight is finite and nonzero and
-    a delete drops both directions, so the spliced graph then leaves out
-    only the diagonal of ``a_new`` too, and binds to it."""
-    if not bound:
-        dropped = symmetric_drops(previous, a)
-        if dropped is None:
-            return prepare_graph(a_new), False
-        bound = bool(np.array_equal(a.nnz_rows[dropped], a.indices[dropped]))
+    ``previous`` is the prepared graph of the matrix the edits apply to
+    (:func:`apply_edits` requires its result on that matrix).  When it
+    records the symmetric branch of ``prepare_graph``, ``A'`` was symmetric
+    and the symmetric edits keep it so: splicing the edits' ``|w|`` into
+    ``previous`` gives the same arrays without a full preparation.  A set
+    weight is finite and nonzero and a delete drops both directions, so the
+    spliced graph leaves out only the diagonal of ``a_new`` whenever
+    ``previous`` left out only the diagonal of its matrix."""
+    if not (isinstance(previous, PreparedGraph) and previous.symmetric):
+        return prepare_graph(a_new), False
     rows, cols, sets, vals = entries
-    return _splice(previous, rows, cols, sets, np.abs(vals)), bound
+    return _splice(
+        previous, rows, cols, sets, np.abs(vals), PreparedGraph,
+        symmetric=True, diagonal_only=previous.diagonal_only,
+    ), True
 
 
 # ---------------------------------------------------------------------------
@@ -711,10 +704,9 @@ class DeltaResult:
     factor round bookkeeping (``frontier_history`` and friends) describes the
     frontier-local recompute rather than a global one.  ``matrix`` is the
     edited original matrix: feed it (with this ``result``) to the next
-    :func:`apply_edits` to chain updates.  ``result`` may be bound to this
-    very object (:attr:`~repro.core.pipeline.LinearForestResult.bound_matrix`),
-    so that the next batch on it skips the symmetry guard; ``matrix`` must
-    not be changed in place.
+    :func:`apply_edits` to chain updates.  ``result.graph`` carries the
+    proof of its preparation, so the next batch splices it again when it is
+    ``symmetric``.
     """
 
     result: LinearForestResult
@@ -822,15 +814,10 @@ def apply_edits(
     ) as root:
         with timings.phase(PHASE_FACTOR):
             with trace_span("delta.splice", category="host") as span:
-                # bound to this very matrix object: the guard proved it once
-                ref = previous.bound_matrix
-                skip_guard = ref is not None and ref() is a
                 a_new = _splice(a, *entries)
-                graph_new, bound = _edited_graph(
-                    previous.graph, a, a_new, entries, skip_guard
-                )
+                graph_new, spliced = _edited_graph(previous.graph, a_new, entries)
                 if span is not None:
-                    span.attributes["bound"] = skip_guard
+                    span.attributes["spliced"] = spliced
             from .frontier import resolve_compaction
 
             policy = resolve_compaction(compaction, graph=graph_new)
@@ -861,11 +848,10 @@ def apply_edits(
             if too_big:
                 if root is not None:
                     root.attributes["fallback"] = "region"
-                updated = _fallback(
+                return _fallback(
                     edits, a_new, config, "region",
                     device=device, compaction=policy, prepared_graph=graph_new,
                 )
-                return _bind(updated) if bound else updated
 
             # frontier-local factor recompute on a scratch device, fused into
             # one launch on the caller's device: bytes are the scratch
@@ -941,9 +927,10 @@ def apply_edits(
                 )
 
         with trace_span("delta.coverage", category="host"):
-            # ω_G: a bound graph holds |a_ij| of every off-diagonal entry of
+            # ω_G: such a graph holds |a_ij| of every off-diagonal entry of
             # a_new, in the order and dtype that graph_weight sums them
-            total = float(graph_new.data.sum()) / 2.0 if bound else graph_weight(a_new)
+            proved = graph_new.symmetric and graph_new.diagonal_only
+            total = float(graph_new.data.sum()) / 2.0 if proved else graph_weight(a_new)
             cov = weighted_band_coverage(total, forest, perm, tridiagonal)
         if root is not None:
             root.attributes.update(
@@ -985,8 +972,7 @@ def apply_edits(
         coverage=cov,
         timings=timings,
     )
-    updated = DeltaResult(result=result, matrix=a_new, stats=stats)
-    return _bind(updated) if bound else updated
+    return DeltaResult(result=result, matrix=a_new, stats=stats)
 
 
 def _fallback(
@@ -999,7 +985,7 @@ def _fallback(
     device=None,
     devices=None,
     compaction=None,
-    prepared_graph: CSRMatrix | None = None,
+    prepared_graph: PreparedGraph | None = None,
 ) -> DeltaResult:
     """Full from-scratch re-run on the edited matrix (correct, not warm).
 

@@ -233,7 +233,9 @@ def parallel_factor(
     ----------
     graph:
         Output of :func:`repro.sparse.build.prepare_graph` — symmetric,
-        non-negative weights, empty diagonal.
+        non-negative weights, empty diagonal.  The engines check the weights
+        of a plain :class:`~repro.sparse.csr.CSRMatrix`, not of a
+        :class:`~repro.sparse.build.PreparedGraph`, whose constructor did.
     config:
         Algorithm parameters; defaults to the paper's default configuration
         (n = 2, M = 5, m = 5, k_m = 0, p = 0.5).

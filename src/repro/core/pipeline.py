@@ -9,15 +9,15 @@ scans", "coefficient extraction").
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..device.device import Device, DeviceGroup
 from ..device.profiler import TimingBreakdown
+from ..errors import ConfigError
 from ..obs import current_metrics, trace_span
-from ..sparse.build import prepare_graph
+from ..sparse.build import PreparedGraph, prepare_graph
 from ..sparse.csr import CSRMatrix
 from .coverage import band_coverage
 from .cycles import BrokenCycles, break_cycles, labelled_pass
@@ -44,7 +44,8 @@ class LinearForestResult:
     Attributes
     ----------
     graph:
-        The prepared adjacency ``A'`` (or ``A' + A'^T``).
+        The prepared adjacency ``A'`` (or ``A' + A'^T``), a
+        :class:`~repro.sparse.build.PreparedGraph` that records which.
     factor_result:
         The raw parallel [0,2]-factor outcome (may contain cycles).
     broken:
@@ -59,16 +60,9 @@ class LinearForestResult:
         c_π of the linear forest with respect to the original matrix.
     timings:
         Wall-clock breakdown over the three Figure 6 phases.
-    bound_matrix:
-        A weak reference to the matrix ``A`` of which ``graph`` is exactly
-        ``|A| - diag(|A|)``, with ``A'`` symmetric and only the diagonal
-        dropped.  :func:`~repro.core.delta.apply_edits` sets it once it has
-        proved this, so that the next batch on that very matrix object can
-        skip the proof; ``None`` on every other result, a
-        :func:`dataclasses.replace` copy included.
     """
 
-    graph: CSRMatrix
+    graph: PreparedGraph
     factor_result: ParallelFactorResult
     broken: BrokenCycles
     paths: PathInfo
@@ -76,9 +70,6 @@ class LinearForestResult:
     tridiagonal: TridiagonalSystem
     coverage: float
     timings: TimingBreakdown
-    bound_matrix: weakref.ReferenceType | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def forest(self) -> Factor:
@@ -99,7 +90,7 @@ def extract_linear_forest(
     partition: VertexPartition | None = None,
     merged_scan: bool = True,
     compaction=None,
-    prepared_graph: CSRMatrix | None = None,
+    prepared_graph: PreparedGraph | None = None,
     charge_ids: np.ndarray | None = None,
 ) -> LinearForestResult:
     """Run the complete pipeline of the paper on an input matrix ``A``.
@@ -140,17 +131,19 @@ def extract_linear_forest(
     are bit-identical under every policy (see :mod:`repro.core.frontier`).
 
     ``prepared_graph`` skips the internal :func:`prepare_graph` call and uses
-    the given adjacency directly; it must be the prepared form of ``a``
-    (symmetric, absolute off-diagonal values, empty diagonal).  The batch
-    engine prepares each member *before* packing — preparation is the one
-    step that is not member-local on a packed graph (symmetry is a global
-    property) — and passes the packed prepared graph here.  ``charge_ids``
-    overrides the vertex identities hashed by the charge kernel (see
+    the given :class:`~repro.sparse.build.PreparedGraph` of ``a`` directly (a
+    plain matrix is a :class:`~repro.errors.ConfigError`).  The batch engine
+    prepares each member *before* packing — preparation is the one step that
+    is not member-local on a packed graph (symmetry is a global property) —
+    and passes the packed prepared graph here.  ``charge_ids`` overrides the
+    vertex identities hashed by the charge kernel (see
     :func:`repro.core.charge.vertex_charges`).
     """
     config = config or ParallelFactorConfig(n=2)
     if config.n != 2:
         raise ValueError(f"linear-forest extraction requires n=2, got n={config.n}")
+    if prepared_graph is not None and not isinstance(prepared_graph, PreparedGraph):
+        raise ConfigError("prepared_graph must be a PreparedGraph from prepare_graph")
     device = resolve_device(device, devices)
     group = device if isinstance(device, DeviceGroup) else None
     timings = TimingBreakdown()

@@ -68,6 +68,7 @@ import numpy as np
 from .._validation import INDEX_DTYPE, VALUE_DTYPE
 from ..device.device import KernelLaunch
 from ..errors import FactorError, ShapeError
+from ..sparse.build import PreparedGraph
 from ..sparse.csr import CSRMatrix
 from ..sparse.topn import validate_proposition_weights
 from .frontier import (
@@ -283,7 +284,8 @@ class PropositionEngine:
         if not 0 <= lo <= hi <= graph.n_rows:
             raise ShapeError(f"rows must lie in [0, {graph.n_rows}], got {rows}")
         s0, s1 = int(graph.indptr[lo]), int(graph.indptr[hi])
-        validate_proposition_weights(graph.data[s0:s1])
+        if not isinstance(graph, PreparedGraph):  # a prepared graph is checked
+            validate_proposition_weights(graph.data[s0:s1])
         self.graph = graph
         self.n = int(n)
         #: The half-open row range ``[lo, hi)`` this engine proposes for.

@@ -306,15 +306,21 @@ def _sort_pairs(w: np.ndarray, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, new
 
 
+def edge_weights(graph: CSRMatrix, here: np.ndarray, there: np.ndarray) -> np.ndarray:
+    """The |weight| of each edge ``here[i]``–``there[i]``: the smaller of its
+    two directions in ``graph``, so both lanes of an edge weigh it alike."""
+    return np.minimum(np.abs(graph.gather(here, there)), np.abs(graph.gather(there, here)))
+
+
 class MinEdgeOperator:
     """Weakest-edge payload for cycle breaking (Section 3.3 step 1).
 
     Each lane starts with the incident factor edge in its direction,
-    identified by the triple (|weight|, min endpoint, max endpoint) — *"the
-    weakest edge is uniquely identified by the weight and the IDs of the
-    incident vertices"*.  ⊕ is the lexicographic minimum, which is
-    idempotent, so the overlapping segment coverage that pointer jumping
-    produces on cycles is harmless.
+    identified by the triple (|weight| of its lighter direction, min endpoint,
+    max endpoint; :func:`edge_weights`) — *"the weakest edge is uniquely
+    identified by the weight and the IDs of the incident vertices"*.  ⊕ is
+    the lexicographic minimum, which is idempotent, so the overlapping
+    segment coverage that pointer jumping produces on cycles is harmless.
 
     Between launches a lane carries one int64 ``key`` instead of the triple:
     :meth:`init` dense-ranks the lane triples, so key order is exactly the
@@ -352,7 +358,7 @@ class MinEdgeOperator:
         edge_lanes = np.flatnonzero(nbr != NO_PARTNER)
         here = edge_lanes >> 1
         there = nbr[edge_lanes]
-        w = np.abs(graph.gather(here, there))
+        w = edge_weights(graph, here, there)
         nan = np.flatnonzero(np.isnan(w))
         if nan.size:
             raise ScanError(

@@ -23,6 +23,7 @@ subpackage provides:
 
 from .block_diag import block_diag, block_offsets, split_ranges
 from .build import (
+    PreparedGraph,
     absolute_offdiag,
     add,
     from_dense,
@@ -56,6 +57,7 @@ __all__ = [
     "MIN_PLUS",
     "OR_AND",
     "PLUS_TIMES",
+    "PreparedGraph",
     "Semiring",
     "Transversal",
     "absolute_offdiag",

@@ -19,6 +19,7 @@ import numpy as np
 
 from .._validation import INDEX_DTYPE
 from ..errors import ShapeError
+from .build import PreparedGraph
 from .csr import CSRMatrix
 
 __all__ = ["block_diag", "block_offsets", "split_ranges"]
@@ -48,7 +49,8 @@ def block_diag(
 
     All members must be square and share one value dtype (mixing float32 and
     float64 members would silently promote the float32 ones — the caller
-    must choose; see :func:`repro.batch.extract_linear_forest_batch`).
+    must choose; see :func:`repro.batch.extract_linear_forest_batch`).  A
+    pack of :class:`~repro.sparse.build.PreparedGraph` members is one too.
     """
     if not matrices:
         raise ShapeError("block_diag requires at least one matrix")
@@ -86,7 +88,8 @@ def block_diag(
         if parts_val
         else np.empty(0, dtype=matrices[0].dtype)
     )
-    return CSRMatrix(indptr, indices, data, (n_total, n_total)), offsets
+    cls = PreparedGraph if all(isinstance(m, PreparedGraph) for m in matrices) else CSRMatrix
+    return cls(indptr, indices, data, (n_total, n_total)), offsets
 
 
 def split_ranges(offsets: np.ndarray) -> "list[tuple[int, int]]":

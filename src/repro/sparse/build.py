@@ -9,21 +9,23 @@ A' + A'^T"*.  :func:`prepare_graph` performs exactly this pipeline.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .._validation import INDEX_DTYPE, VALUE_DTYPE, check_square
 from ..errors import ShapeError
 from .coo import COOMatrix
 from .csr import CSRMatrix
+from .topn import validate_proposition_weights
 
 __all__ = [
+    "PreparedGraph",
     "absolute_offdiag",
     "add",
     "from_dense",
     "from_edges",
-    "is_prepared_symmetric",
     "prepare_graph",
-    "symmetric_drops",
     "symmetrize",
 ]
 
@@ -83,56 +85,44 @@ def from_edges(
     return coo.to_csr().to_coo().drop_zeros().to_csr()
 
 
-def _offdiag_kept(a: CSRMatrix) -> np.ndarray:
-    """The entries of ``a`` that reach ``A'``: off the diagonal with
-    ``|v| > 0``, which drops explicit zeros and NaN."""
-    return (a.nnz_rows != a.indices) & (np.abs(a.data) > 0)
+@dataclass(frozen=True, repr=False)
+class PreparedGraph(CSRMatrix):
+    """A graph built by :func:`prepare_graph`, with what preparing proved.
+
+    Its weights are non-negative and NaN-free (checked once, here), so no
+    engine checks them again.  Each flag is false unless proved:
+    ``symmetric``, the symmetric branch was taken, so the graph is
+    ``|A| - diag(|A|)`` of its source ``A`` entry for entry; and
+    ``diagonal_only``, ``A`` stores no off-diagonal zero or NaN, so only its
+    diagonal was left out.  Only :func:`prepare_graph`, the delta engine's
+    splice and :func:`~repro.sparse.block_diag.block_diag` of prepared
+    members build one.
+    """
+
+    symmetric: bool = False
+    diagonal_only: bool = False
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        validate_proposition_weights(self.data)
+
+
+def _offdiag_arrays(a: CSRMatrix) -> tuple[tuple, bool]:
+    """The CSR arrays of :func:`absolute_offdiag`, which drops explicit zeros
+    and NaN too, and whether it left out only the diagonal."""
+    check_square(a.shape)
+    # a filter keeps the CSR order
+    off = a.nnz_rows != a.indices
+    keep = off & (np.abs(a.data) > 0)
+    kept = np.zeros(a.nnz + 1, dtype=INDEX_DTYPE)
+    np.cumsum(keep, out=kept[1:])
+    arrays = (kept[a.indptr], a.indices[keep], np.abs(a.data[keep]), a.shape)
+    return arrays, bool(kept[-1] == np.count_nonzero(off))
 
 
 def absolute_offdiag(a: CSRMatrix) -> CSRMatrix:
     """``A' = |A| - diag(|A|)``: absolute values, diagonal removed."""
-    check_square(a.shape)
-    # a filter keeps the CSR order
-    keep = _offdiag_kept(a)
-    kept = np.zeros(a.nnz + 1, dtype=INDEX_DTYPE)
-    np.cumsum(keep, out=kept[1:])
-    return CSRMatrix(
-        indptr=kept[a.indptr],
-        indices=a.indices[keep],
-        data=np.abs(a.data[keep]),
-        shape=a.shape,
-    )
-
-
-def is_prepared_symmetric(graph: CSRMatrix, a: CSRMatrix) -> bool:
-    """Whether ``graph = prepare_graph(a)`` took the symmetric branch.
-
-    Checks that ``graph`` equals :func:`absolute_offdiag` of ``a`` array for
-    array, without a sort or a CSR rebuild.  ``A' + A'^T`` equals ``A'``
-    only when ``A'`` is symmetric, so for a prepared graph of ``a`` this
-    holds exactly when ``A'`` is symmetric.
-    """
-    return symmetric_drops(graph, a) is not None
-
-
-def symmetric_drops(graph: CSRMatrix, a: CSRMatrix) -> np.ndarray | None:
-    """The check of :func:`is_prepared_symmetric`, with what it found: the
-    positions of the entries of ``a`` that ``graph`` leaves out (the
-    diagonal, explicit zeros and NaN) when ``graph`` is
-    :func:`absolute_offdiag` of ``a``, else ``None``."""
-    if graph.shape != a.shape or graph.dtype != a.dtype:
-        return None
-    keep = _offdiag_kept(a)
-    dropped = np.flatnonzero(~keep)
-    if a.nnz - dropped.size != graph.nnz or not np.array_equal(
-        graph.row_lengths,
-        a.row_lengths - np.bincount(a.nnz_rows[dropped], minlength=a.n_rows),
-    ):
-        return None
-    if not np.array_equal(graph.indices, a.indices[keep]):
-        return None
-    kept = a.data[keep]
-    return dropped if np.array_equal(graph.data, np.abs(kept, out=kept)) else None
+    return CSRMatrix(*_offdiag_arrays(a)[0])
 
 
 def add(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
@@ -153,15 +143,19 @@ def symmetrize(a: CSRMatrix) -> CSRMatrix:
     return add(a, a.transpose())
 
 
-def prepare_graph(a: CSRMatrix) -> CSRMatrix:
+def prepare_graph(a: CSRMatrix) -> PreparedGraph:
     """The full preprocessing pipeline of the paper.
 
-    Returns ``A' = |A| - diag(|A|)`` for symmetric input, and
-    ``A' + A'^T`` otherwise.  The result is the weighted undirected graph on
-    which the [0,n]-factor is computed; coverage statistics and coefficient
+    Returns the :class:`PreparedGraph` ``A' = |A| - diag(|A|)`` for symmetric
+    input, and ``A' + A'^T`` otherwise: the weighted undirected graph on which
+    the [0,n]-factor is computed; coverage statistics and coefficient
     extraction always refer back to the *original* matrix.
     """
-    a_prime = absolute_offdiag(a)
+    arrays, diagonal_only = _offdiag_arrays(a)
+    a_prime = PreparedGraph(*arrays, diagonal_only=diagonal_only)
     if a_prime.is_symmetric():
+        # proved before anyone else sees the graph
+        object.__setattr__(a_prime, "symmetric", True)
         return a_prime
-    return symmetrize(a_prime)
+    s = symmetrize(a_prime)
+    return PreparedGraph(s.indptr, s.indices, s.data, s.shape, diagonal_only=diagonal_only)

@@ -18,7 +18,7 @@ from repro.core.factor import ParallelFactorConfig
 from repro.device import Device, DeviceGroup
 from repro.errors import ConfigError, ShapeError
 from repro.graphs import aniso2
-from repro.sparse import CSRMatrix, from_edges
+from repro.sparse import CSRMatrix, PreparedGraph, from_edges
 from tests.properties.test_delta_splice_properties import assert_same_graph
 
 
@@ -488,7 +488,7 @@ def test_stats_to_dict_roundtrips_the_fields():
     assert updated.coverage == updated.result.coverage
 
 
-# -- a result bound to its matrix: a chained batch skips the guard ------------
+# -- the prepared graph carries its proof: a chained batch splices it ---------
 
 
 def window_batch(g: int, step: int) -> EditBatch:
@@ -540,76 +540,87 @@ def check_graph_against_scratch(updated):
     assert_same_graph(updated.result.graph, check_against_scratch(updated).graph)
 
 
-def test_a_symmetric_chain_runs_the_guard_once(monkeypatch):
-    """The first batch proves that the prepared graph is ``|A| - diag(|A|)``
-    of a symmetric ``A'``; the two batches after it reuse the proof, and
-    every batch reads ω_G from the spliced graph instead of the matrix."""
-    guards = counting(monkeypatch, "symmetric_drops")
+def test_a_symmetric_chain_splices_every_batch(monkeypatch):
+    """A cold extraction's prepared graph records the symmetric branch, so
+    every batch of the chain splices it, the first one included: nothing is
+    prepared, and ω_G is read from the spliced graph, never the matrix."""
+    prepares = counting(monkeypatch, "prepare_graph")
     weights = counting(monkeypatch, "graph_weight")
     chained = run_chain(aniso2(64), 3)
-    assert len(guards) == 1
-    assert weights == []
+    assert prepares == [] and weights == []
     for updated in chained:
         assert updated.stats.fallback is None
-        assert updated.result.bound_matrix() is updated.matrix
+        graph = updated.result.graph
+        assert isinstance(graph, PreparedGraph)
+        assert graph.symmetric and graph.diagonal_only
         check_graph_against_scratch(updated)
 
 
-def test_an_equal_copy_of_the_matrix_runs_the_guard_again(monkeypatch):
-    """The binding names one matrix object: an equal copy proves it anew,
-    and the bits do not change."""
+def test_an_equal_copy_of_the_matrix_splices(monkeypatch):
+    """The proof rests on ``apply_edits``' contract that ``previous`` is the
+    result on ``a``, not on one matrix object: an equal copy splices too,
+    with the same bits."""
     (first,) = run_chain(aniso2(64), 1)
     m = first.matrix
     copy = CSRMatrix(m.indptr.copy(), m.indices.copy(), m.data.copy(), m.shape)
     edits = window_batch(64, 1)
-    guards = counting(monkeypatch, "symmetric_drops")
-    bound = apply_edits(first.result, edits, m, device=Device(record=False))
-    assert guards == []
-    guarded = apply_edits(first.result, edits, copy, device=Device(record=False))
-    assert len(guards) == 1 and guards[0] is copy
-    assert same_bits(bound.result, guarded.result)
-    assert guarded.result.bound_matrix() is guarded.matrix
-    check_graph_against_scratch(guarded)
+    prepares = counting(monkeypatch, "prepare_graph")
+    same = apply_edits(first.result, edits, m, device=Device(record=False))
+    copied = apply_edits(first.result, edits, copy, device=Device(record=False))
+    assert prepares == []
+    assert same_bits(same.result, copied.result)
+    assert_same_graph(copied.result.graph, same.result.graph)
+    check_graph_against_scratch(copied)
 
 
-def test_a_chained_region_fallback_is_bound(monkeypatch):
-    guards = counting(monkeypatch, "symmetric_drops")
+def test_a_chained_region_fallback_carries_the_proof(monkeypatch):
+    """A region fallback re-runs on the spliced graph, which becomes its
+    result's graph, so the next batch splices again."""
+    prepares = counting(monkeypatch, "prepare_graph")
     chained = run_chain(aniso2(16), 2, max_region_fraction=0.0)
-    assert len(guards) == 1
+    assert prepares == []
     for updated in chained:
         assert updated.stats.fallback == "region"
-        assert updated.result.bound_matrix() is updated.matrix
+        assert updated.result.graph.symmetric and updated.result.graph.diagonal_only
         check_graph_against_scratch(updated)
 
 
 @pytest.mark.parametrize("max_region_fraction", [0.0, 1.0], ids=["fallback", "delta"])
-def test_a_non_symmetric_input_never_binds(monkeypatch, max_region_fraction):
-    guards = counting(monkeypatch, "symmetric_drops")
+def test_a_non_symmetric_input_prepares_each_batch_once(monkeypatch, max_region_fraction):
+    """A non-symmetric ``A'`` cannot be spliced: each batch prepares its
+    edited matrix once, and the graph records the ``A' + A'^T`` branch."""
+    prepares = counting(monkeypatch, "prepare_graph")
     chained = run_chain(
         scaled(aniso2(16), seed=7), 2, max_region_fraction=max_region_fraction
     )
-    assert len(guards) == 2
+    assert [m.data.tobytes() for m in prepares] == [
+        u.matrix.data.tobytes() for u in chained
+    ]
     for updated in chained:
-        assert updated.result.bound_matrix is None
+        assert not updated.result.graph.symmetric
         check_graph_against_scratch(updated)
 
 
 @pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero", "nan"])
 def test_a_stored_offdiagonal_zero_or_nan_keeps_graph_weight(monkeypatch, value):
-    """The prepared graph drops an explicit zero or NaN that ω_G counts, so
-    the result is not bound and ω_G is read from the matrix; the coverage
-    equals the scratch run's bit for bit, a NaN included."""
+    """The prepared graph drops an explicit zero or NaN that ω_G counts: the
+    graph is still spliced, but it records that more than the diagonal went,
+    so ω_G is read from the matrix; the coverage equals the scratch run's
+    bit for bit, a NaN included."""
     a = aniso2(64)
     # the coupling between the last two vertices, far from every window
     data = a.data.copy()
     data[a.find([4095, 4094], [4094, 4095])[0]] = value
     a = CSRMatrix(a.indptr, a.indices, data, a.shape)
+    prepares = counting(monkeypatch, "prepare_graph")
     weights = counting(monkeypatch, "graph_weight")
     chained = run_chain(a, 2)
+    assert prepares == []
     assert len(weights) == 2
     for updated in chained:
         assert updated.stats.fallback is None
-        assert updated.result.bound_matrix is None
+        assert updated.result.graph.symmetric
+        assert not updated.result.graph.diagonal_only
         fresh = extract_linear_forest(updated.matrix, device=Device(record=False))
         coverage = np.array([updated.result.coverage, fresh.coverage])
         assert coverage[0].tobytes() == coverage[1].tobytes()
@@ -617,9 +628,10 @@ def test_a_stored_offdiagonal_zero_or_nan_keeps_graph_weight(monkeypatch, value)
 
 
 def test_host_spans_name_the_splice_and_the_coverage():
-    """``delta.splice`` (with ``bound``: the guard did not run) and
-    ``delta.coverage`` are host spans under ``apply-edits``; the device
-    still sees exactly the four fused ``delta.*`` launches per batch."""
+    """``delta.splice`` (with ``spliced``: the prepared graph was spliced,
+    not prepared) and ``delta.coverage`` are host spans under
+    ``apply-edits``; the device still sees exactly the four fused
+    ``delta.*`` launches per batch."""
     from repro.obs import Tracer, use_tracer
 
     tracer = Tracer("delta")
@@ -627,12 +639,12 @@ def test_host_spans_name_the_splice_and_the_coverage():
         run_chain(aniso2(64), 2)
     roots = tracer.find(name_prefix="apply-edits")
     assert len(roots) == 2
-    for root, bound in zip(roots, (False, True)):
+    for root in roots:
         host = [
             s for s in tracer.find(category="host")
             if root.span_id in [p.span_id for p in tracer.ancestors(s)]
         ]
         assert [s.name for s in host] == ["delta.splice", "delta.coverage"]
-        assert host[0].attributes["bound"] is bound
+        assert host[0].attributes["spliced"] is True
     launches = [s.name for s in tracer.find(category="kernel", name_prefix="delta.")]
     assert launches == 2 * ["delta.frontier", "delta.factor", "delta.rescan", "delta.extract"]

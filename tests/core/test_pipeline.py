@@ -67,3 +67,35 @@ def test_pipeline_coverage_consistency():
     a = aniso2(10)
     result = extract_linear_forest(a)
     assert result.coverage == pytest.approx(coverage(a, result.forest))
+
+
+def test_pipeline_refuses_a_plain_prepared_graph():
+    from repro.errors import ConfigError
+    from repro.sparse import CSRMatrix, prepare_graph
+
+    a = aniso2(8)
+    g = prepare_graph(a)
+    plain = CSRMatrix(g.indptr, g.indices, g.data, g.shape)
+    with pytest.raises(ConfigError, match="prepare_graph"):
+        extract_linear_forest(a, prepared_graph=plain)
+    assert extract_linear_forest(a, prepared_graph=g).graph is g
+
+
+def test_a_sharded_run_checks_the_weights_once(monkeypatch):
+    """The prepared graph's constructor checks the weights; the shard
+    engines take its proof instead of checking their rows again."""
+    import repro.core.proposer as proposer_mod
+    import repro.sparse.build as build_mod
+    from repro.device import DeviceGroup
+
+    checked = []
+    real = build_mod.validate_proposition_weights
+
+    def counted(values):
+        checked.append(len(values))
+        return real(values)
+
+    for module in (build_mod, proposer_mod):
+        monkeypatch.setattr(module, "validate_proposition_weights", counted)
+    result = extract_linear_forest(aniso2(12), device=DeviceGroup(3))
+    assert checked == [result.graph.nnz]

@@ -276,13 +276,42 @@ def test_an_asymmetric_graph_breaks_the_edge_its_lanes_break():
 
 def test_an_asymmetric_power_of_two_cycle_loses_one_edge():
     """A lane of a power-of-two cycle stalls at half of it, so no single
-    lane reads every direction; the labels still name the whole cycle, and
-    it loses its weakest edge alone."""
+    lane reaches every edge of the cycle; the labels still name the whole
+    cycle, each lane weighs both directions of its edges, and the cycle
+    loses its weakest edge alone in both forms."""
     factor, graph = asymmetric_rings([4, 8], [(1, 0), (6, 7)])
-    labelled = BidirectionalScan(factor).run(labelled_pass())
-    broken = break_cycles(factor, graph, scan_result=labelled)
-    assert broken.removed_u.tolist() == [0, 6]
-    assert broken.removed_v.tolist() == [1, 7]
+    want, got = both_breaks(factor, graph)
+    assert_same_broken(got, want)
+    assert_same_broken(break_cycles(factor, graph), want)
+    assert want.removed_u.tolist() == [0, 6]
+    assert want.removed_v.tolist() == [1, 7]
+
+
+@given(mixed_factors())
+@settings(max_examples=30, deadline=None)
+def test_both_breaks_agree_when_each_direction_weighs_its_own(case):
+    """The graph of a ``build_case`` factor with each direction's weight
+    drawn on its own: the paper form and the labelled form break the same
+    edges under every policy."""
+    paths, cycles, seed = case
+    factor, _ = build_case(paths, cycles, seed)
+    u, v = factor.edges()
+    w = np.random.default_rng(seed).integers(1, 4, 2 * u.size).astype(float)
+    graph = COOMatrix(
+        np.concatenate([u, v]), np.concatenate([v, u]), w,
+        (factor.n_vertices, factor.n_vertices),
+    ).to_csr()
+    want = None
+    for policy in POLICIES:
+        fused = BidirectionalScan(factor, compaction=policy).run(
+            FusedOperator((MinEdgeOperator(), AddOperator())), graph
+        )
+        labelled = BidirectionalScan(factor, compaction=policy).run(labelled_pass(), graph)
+        paper = break_cycles(factor, scan_result=fused)
+        if want is None:
+            want = paper
+        assert_same_broken(paper, want)
+        assert_same_broken(break_cycles(factor, graph, scan_result=labelled), want)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -2,13 +2,14 @@
 preparation of the edited matrix, array for array.
 
 :func:`repro.delta.apply_edits` splices the batch's ``|w|`` into the
-previous prepared graph when that graph is ``|A| - diag(|A|)`` itself (``A'``
-symmetric), and prepares the edited matrix from scratch otherwise.  Either
-way ``updated.result.graph`` must equal ``prepare_graph(updated.matrix)`` in
-every array and in dtype, and the whole result must equal a scratch
-extraction.  The inputs cover both sides of that guard (symmetric and
-non-symmetric ``A``), float32, stored zeros (``+0.0`` and ``-0.0``), empty
-rows, deletes of absent pairs and repeated pairs where the later edit wins.
+previous prepared graph when that graph records that it is
+``|A| - diag(|A|)`` itself (``A'`` symmetric), and prepares the edited matrix
+from scratch otherwise.  Either way ``updated.result.graph`` must equal
+``prepare_graph(updated.matrix)`` in every array and in dtype, carry no proof
+that graph lacks, and the whole result must equal a scratch extraction.  The
+inputs cover both branches (symmetric and non-symmetric ``A``), float32,
+stored zeros (``+0.0`` and ``-0.0``), empty rows, deletes of absent pairs and
+repeated pairs where the later edit wins.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.core import extract_linear_forest
 from repro.delta import EditBatch, apply_edits
 from repro.device import Device
 from repro.graphs import aniso2
-from repro.sparse import prepare_graph
+from repro.sparse import PreparedGraph, prepare_graph
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 
@@ -109,6 +110,10 @@ def test_edited_graph_is_the_preparation_of_the_edited_matrix(
         max_region_fraction=max_region_fraction,
     )
     assert_same_graph(updated.result.graph, prepare_graph(updated.matrix))
+    graph, want = updated.result.graph, prepare_graph(updated.matrix)
+    assert isinstance(graph, PreparedGraph)
+    assert graph.symmetric == want.symmetric
+    assert want.diagonal_only or not graph.diagonal_only
     fresh = extract_linear_forest(updated.matrix, device=Device(record=False))
     assert_same_extraction(updated.result, fresh, f"seed={seed}")
 

@@ -1,5 +1,6 @@
 """The serve ``update`` op: warm delta refreshes of cached extractions."""
 
+import inspect
 import threading
 import time
 
@@ -242,6 +243,50 @@ def test_a_non_symmetric_warm_update_prepares_the_edited_matrix_once(
     calls = _prepares_of_a_warm_update(server, matrix, monkeypatch)
     edited = apply_edits_to_matrix(matrix, EditBatch.from_dicts(EDITS))
     assert [matrix_digest(a) for a in calls] == [matrix_digest(edited)]
+
+
+def test_chained_warm_updates_splice_the_warm_graph(server, matrix, monkeypatch):
+    """The daemon loads a new matrix object for every request, and three
+    chained warm updates still splice the warm result's prepared graph:
+    none calls a function of ``repro.sparse.build`` (no ``prepare_graph``,
+    no symmetry check) or ``graph_weight``, and each payload equals a cold
+    extract of its edited matrix."""
+    server.handle_request({"op": "extract", "id": 0, "matrix": _csr_spec(matrix)})
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for module in (server_mod, delta_mod):
+        for name, value in list(vars(module).items()):
+            if inspect.isfunction(value) and (
+                value.__module__ == "repro.sparse.build" or name == "graph_weight"
+            ):
+                monkeypatch.setattr(module, name, counted(name, value))
+    chain = [
+        [{"u": 3, "v": 7, "w": 0.25}],
+        [{"u": 100, "v": 101, "w": 3.5}],
+        [{"u": 10, "v": 11, "delete": True}],
+    ]
+    edited, responses = [matrix], []
+    for step, edits in enumerate(chain, start=1):
+        responses.append(server.handle_request(
+            {"op": "update", "id": step, "matrix": _csr_spec(edited[-1]), "edits": edits}
+        ))
+        edited.append(apply_edits_to_matrix(edited[-1], EditBatch.from_dicts(edits)))
+    monkeypatch.undo()
+    assert calls == []
+    for resp, m in zip(responses, edited[1:]):
+        assert resp["delta"]["warm"] is True
+        assert resp["delta"]["stats"]["fallback"] is None
+        cold = ReproServer(ServeConfig()).handle_request(
+            {"op": "extract", "id": 9, "matrix": _csr_spec(m)}
+        )
+        assert resp["result"] == cold["result"]
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import ShapeError
+from repro.errors import FactorError, ShapeError
 from repro.sparse import (
     CSRMatrix,
+    PreparedGraph,
     absolute_offdiag,
     add,
     from_dense,
@@ -102,30 +103,42 @@ def test_prepare_graph_output_invariants(small_dense):
     assert np.all(g.data > 0.0)
 
 
-def test_is_prepared_symmetric_follows_prepare_graphs_branch():
-    from repro.sparse.build import is_prepared_symmetric
-
+def test_prepare_graph_records_its_branch_and_what_it_dropped():
     # stored zeros, a NaN and a diagonal: entries absolute_offdiag drops
     sym = np.array(
         [[4.0, -1.0, 0.0, 2.0], [-1.0, 3.0, 0.5, 0.0], [0.0, 0.5, 1.0, -7.0],
          [2.0, 0.0, -7.0, 0.0]]
     )
     a = from_dense(sym)
-    stored_zero = a.to_coo()
+    stored_zero = from_dense(sym).to_coo()  # its values are the matrix's own
     stored_zero.val[(stored_zero.row == 0) & (stored_zero.col == 1)] = 0.0
     stored_zero.val[(stored_zero.row == 1) & (stored_zero.col == 0)] = np.nan
-    for m in (a, stored_zero.to_csr(), a.astype(np.float32)):
-        assert is_prepared_symmetric(prepare_graph(m), m)
-    # values or pattern not symmetric: prepare_graph adds the transpose
-    for m in (from_dense(sym * np.arange(1.0, 5.0)[:, None]),
-              from_dense(np.triu(sym))):
-        assert not is_prepared_symmetric(prepare_graph(m), m)
-    # a graph that is not the matrix's own preparation
-    assert not is_prepared_symmetric(prepare_graph(a).scale_values(2.0), a)
-    assert not is_prepared_symmetric(prepare_graph(a), a.astype(np.float32))
-    # the same indices and values split into rows differently
-    tri = from_dense(np.array([[0.0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 0]]))
-    g = prepare_graph(tri)
-    assert is_prepared_symmetric(g, tri)
-    moved = CSRMatrix(indptr=[0, 1, 2, 4, 6], indices=g.indices, data=g.data, shape=g.shape)
-    assert not is_prepared_symmetric(moved, tri)
+    cases = [
+        (a, True, True),
+        (stored_zero.to_csr(), True, False),
+        (a.astype(np.float32), True, True),
+        # values or pattern not symmetric: prepare_graph adds the transpose
+        (from_dense(sym * np.arange(1.0, 5.0)[:, None]), False, True),
+        (from_dense(np.triu(sym)), False, True),
+    ]
+    for m, symmetric, diagonal_only in cases:
+        g = prepare_graph(m)
+        assert isinstance(g, PreparedGraph) and g.dtype == m.dtype
+        assert (g.symmetric, g.diagonal_only) == (symmetric, diagonal_only)
+        assert g.is_symmetric()
+    # only prepare_graph proves: its first step and the graph's own
+    # transforms are plain
+    g = prepare_graph(a)
+    assert type(absolute_offdiag(a)) is CSRMatrix
+    assert type(g.scale_values(2.0)) is CSRMatrix
+    assert type(g.astype(np.float32)) is CSRMatrix
+
+
+def test_a_prepared_graph_refuses_weights_no_engine_takes():
+    with pytest.raises(FactorError, match="non-negative"):
+        PreparedGraph(indptr=[0, 1, 2], indices=[1, 0], data=[-1.0, -1.0], shape=(2, 2))
+    with pytest.raises(FactorError, match="NaN"):
+        PreparedGraph(indptr=[0, 1, 2], indices=[1, 0], data=[np.nan, 1.0], shape=(2, 2))
+    g = PreparedGraph(indptr=[0, 1, 2], indices=[1, 0], data=[1.0, 1.0], shape=(2, 2))
+    assert not g.symmetric and not g.diagonal_only
+    assert repr(g) == "CSRMatrix(shape=(2, 2), nnz=2)"
