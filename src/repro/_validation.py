@@ -12,11 +12,12 @@ import numbers
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 __all__ = [
     "as_index_array",
     "as_value_array",
+    "check_finite_entries",
     "check_square",
     "require",
 ]
@@ -76,3 +77,21 @@ def check_square(shape: tuple[int, int]) -> int:
     n_rows, n_cols = shape
     require(n_rows == n_cols, f"matrix must be square, got shape={shape}")
     return int(n_rows)
+
+
+def check_finite_entries(a) -> None:
+    """Refuse a CSR matrix with a non-finite stored entry, diagonal included.
+
+    The :class:`~repro.errors.ConfigError` names the first such entry's row,
+    column and value.  It reads every entry once, so it runs where a matrix
+    enters the program (the CLI's Matrix Market reads, the daemon's file
+    and inline matrices), never inside the engines.
+    """
+    finite = np.isfinite(a.data)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        row = int(np.searchsorted(a.indptr, k, side="right")) - 1
+        raise ConfigError(
+            f"matrix entry at row {row}, column {int(a.indices[k])} is "
+            f"{a.data[k]}; weights must be finite"
+        )

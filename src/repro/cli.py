@@ -61,6 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._validation import check_finite_entries
 from .core import (
     ParallelFactorConfig,
     coverage,
@@ -90,6 +91,13 @@ from .solvers.preconditioners import (
 from .sparse import prepare_graph, read_matrix_market, write_matrix_market
 
 __all__ = ["main"]
+
+
+def _read_matrix(path: str):
+    """A Matrix Market file, refused by name when an entry is not finite."""
+    a = read_matrix_market(path)
+    check_finite_entries(a)
+    return a
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -172,7 +180,7 @@ def _observed(args, stack: ExitStack) -> _ObsRun | None:
 
 
 def _cmd_extract(args) -> int:
-    a = read_matrix_market(args.matrix)
+    a = _read_matrix(args.matrix)
     with ExitStack() as stack:
         obs = _observed(args, stack)
         result = extract_linear_forest(
@@ -211,7 +219,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    mats = [read_matrix_market(path) for path in args.matrices]
+    mats = [_read_matrix(path) for path in args.matrices]
     from .batch import extract_linear_forest_batch
 
     with ExitStack() as stack:
@@ -244,7 +252,7 @@ def _cmd_delta(args) -> int:
 
     from .delta import EditBatch, apply_edits
 
-    a = read_matrix_market(args.matrix)
+    a = _read_matrix(args.matrix)
     with open(args.edits) as fh:
         edits = EditBatch.from_dicts(json.load(fh))
     config = _config_from(args, 2)
@@ -319,7 +327,7 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    a = read_matrix_market(args.matrix)
+    a = _read_matrix(args.matrix)
     graph = prepare_graph(a)
     factor_result = None
     with ExitStack() as stack:
@@ -348,7 +356,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    a = read_matrix_market(args.matrix)
+    a = _read_matrix(args.matrix)
     n = a.n_rows
     if args.rhs:
         b = np.loadtxt(args.rhs)
@@ -381,7 +389,7 @@ def _cmd_solve(args) -> int:
 def _cmd_transversal(args) -> int:
     from .sparse import maximum_transversal, transversal_scaling
 
-    a = read_matrix_market(args.matrix)
+    a = _read_matrix(args.matrix)
     t = maximum_transversal(a)
     diag = np.abs(a.gather(np.arange(a.n_rows), t.col_of_row))
     print(f"maximum product transversal of N={a.n_rows}: "

@@ -728,6 +728,7 @@ def apply_edits(
     devices: int | None = None,
     compaction=None,
     max_region_fraction: float = 0.5,
+    edited: CSRMatrix | None = None,
 ) -> DeltaResult:
     """Update a previous extraction for an edit batch, reusing warm state.
 
@@ -759,6 +760,13 @@ def apply_edits(
         When the invalidation ball covers more than this fraction of the
         vertices, the delta recompute stops paying for itself and the engine
         falls back to a full re-run (``stats.fallback == "region"``).
+    edited:
+        The edited matrix when the caller already holds it; its value must
+        equal ``apply_edits_to_matrix(a, edits)``.  The batch is then not
+        spliced into ``a`` a second time, and ``DeltaResult.matrix`` is this
+        object.  Only its shape and dtype are checked against ``a``'s (a
+        :class:`~repro.errors.ShapeError` when either differs), not its
+        entries.
 
     Returns a :class:`DeltaResult`; an empty batch returns the previous
     result unchanged with **zero** device launches.
@@ -771,6 +779,11 @@ def apply_edits(
             f"previous result covers {previous.graph.n_rows} vertices, "
             f"matrix has {a.n_rows}"
         )
+    if edited is not None and (edited.shape, edited.dtype) != (a.shape, a.dtype):
+        raise ShapeError(
+            f"edited matrix has shape {edited.shape} and dtype {edited.dtype}, "
+            f"the matrix {a.shape} and {a.dtype}"
+        )
     metrics = current_metrics()
 
     if len(edits) == 0:
@@ -779,7 +792,7 @@ def apply_edits(
             metrics.counter("delta.empty_batches").inc()
         return DeltaResult(
             result=previous,
-            matrix=a,
+            matrix=a if edited is None else edited,
             stats=DeltaStats(
                 n_edits=0, touched_vertices=0, region_vertices=0,
                 core_vertices=0, changed_vertices=0, rescanned_vertices=0,
@@ -797,7 +810,8 @@ def apply_edits(
     if isinstance(device, DeviceGroup):
         if len(device) > 1:
             return _fallback(
-                edits, _splice(a, *entries), config, "sharded", warn=True,
+                edits, _splice(a, *entries) if edited is None else edited,
+                config, "sharded", warn=True,
                 device=device, compaction=compaction,
             )
         device = device[0]
@@ -814,7 +828,7 @@ def apply_edits(
     ) as root:
         with timings.phase(PHASE_FACTOR):
             with trace_span("delta.splice", category="host") as span:
-                a_new = _splice(a, *entries)
+                a_new = _splice(a, *entries) if edited is None else edited
                 graph_new, spliced = _edited_graph(previous.graph, a_new, entries)
                 if span is not None:
                     span.attributes["spliced"] = spliced

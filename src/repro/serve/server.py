@@ -30,10 +30,16 @@ SHA-256 over the request matrix's CSR buffers.  It decides every cached
 field: the prepared graph ``|A| - diag(|A|)`` (symmetrized when ``A`` is
 not) is a function of ``A``, and the tridiagonal bands are cut from ``A``
 itself, so a key is computed without preparing anything and a miss
-prepares inside the engine it runs.  The config digest is a SHA-256 over
-the canonicalized (defaults-overlaid, unknown-keys-rejected) request
-config.  The result cache, the in-flight table and the warm-seed store
-share this one key.
+prepares inside the engine it runs.  A ``suite`` matrix is a pure function
+of its (name, scale), so the daemon remembers the digest, rows and nnz of
+the last 64 suite specs it built (in memory only, never persisted): an
+``extract``, ``factor`` or ``solve`` of one keys without building or
+hashing, and only a miss's leader builds the matrix.  An ``update`` needs
+the matrix to edit it, and file and inline specs are read and digested on
+every request, since a file can change under the same path.  The config
+digest is a SHA-256 over the canonicalized (defaults-overlaid,
+unknown-keys-rejected) request config.  The result cache, the in-flight
+table and the warm-seed store share this one key.
 
 Cache misses run the real pipeline.  Concurrent *identical* misses are
 coalesced leader/follower style — one pipeline run, every follower counts
@@ -62,10 +68,11 @@ result cache alone cannot seed the delta engine), the refresh runs through
 :func:`repro.delta.apply_edits` — bit-identical to a from-scratch run at a
 fraction of the launches, metered as ``delta.*`` counters in the
 per-request report — otherwise it falls back to a full extraction of the
-edited matrix (``serve.delta.cold``).  Either way the edited matrix is
-prepared once, inside the engine that runs.  The
-response is the extract-shaped payload plus a top-level ``delta`` dict
-(``warm``, and the engine's stats when warm); see ``docs/INCREMENTAL.md``.
+edited matrix (``serve.delta.cold``).  Either way the batch is spliced
+into the matrix once, to key the request, and the engine that runs takes
+that edited matrix and prepares it at most once.  The response is the
+extract-shaped payload plus a top-level ``delta`` dict (``warm``, and the
+engine's stats when warm); see ``docs/INCREMENTAL.md``.
 Updates take the same request path as extracts, so identical concurrent
 updates coalesce (a follower's ``delta`` is ``null``, as on any hit), and
 every extraction the daemon runs, batch-window members included, seeds the
@@ -85,7 +92,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .._validation import _is_flag, _is_integral, _is_real, check_square
+from .._validation import _is_flag, _is_integral, _is_real, check_finite_entries, check_square
 from ..batch import extract_linear_forest_batch
 from ..core import ParallelFactorConfig, coverage, extract_linear_forest, parallel_factor
 from ..core.delta import EditBatch, apply_edits, apply_edits_to_matrix
@@ -138,6 +145,11 @@ _CONFIG_DEFAULTS: dict = {
 # config (and therefore its config digest — the edited matrix's extract key
 # must match what a plain extract request would compute)
 _CONFIG_DEFAULTS["update"] = _CONFIG_DEFAULTS["extract"]
+
+#: Suite specs whose input digest the daemon remembers, least recently used
+#: out.  A suite matrix is a pure function of (name, scale), so a remembered
+#: spec keys a request without building or hashing the matrix.
+_SUITE_DIGESTS = 64
 
 
 # -- request canonicalization ----------------------------------------------
@@ -233,7 +245,11 @@ def config_digest(cfg: dict) -> str:
 
 def request_key(op: str, a: CSRMatrix, cfg: dict) -> str:
     """The result-cache key: op + input digest + config digest."""
-    return f"{op}:in={matrix_digest(a)}:cfg={config_digest(cfg)}"
+    return _key(op, matrix_digest(a), cfg)
+
+
+def _key(op: str, digest: str, cfg: dict) -> str:
+    return f"{op}:in={digest}:cfg={config_digest(cfg)}"
 
 
 def _is_finite_real(x) -> bool:
@@ -267,6 +283,21 @@ def _inline_array(spec: dict, key: str, dtype) -> np.ndarray:
     return np.asarray(arr, dtype=dtype)
 
 
+def _suite_spec(spec: dict) -> tuple[str, float]:
+    """The ``(name, float(scale))`` of a ``suite`` matrix spec, checked: a
+    ``name`` that names no suite matrix or a ``scale`` that is not a finite
+    number > 0 is a :class:`~repro.errors.ConfigError` naming it."""
+    name = spec.get("name")
+    if not isinstance(name, str) or name not in SUITE:
+        raise ConfigError(
+            f"unknown suite matrix name={name!r} (valid: {sorted(SUITE)})"
+        )
+    scale = spec.get("scale", 1.0)
+    if not (_is_finite_real(scale) and scale > 0):
+        raise ConfigError(f"suite matrix scale={scale!r} is not a finite number > 0")
+    return name, float(scale)
+
+
 def load_matrix(spec) -> CSRMatrix:
     """Materialize a request's ``matrix`` spec.
 
@@ -295,15 +326,8 @@ def load_matrix(spec) -> CSRMatrix:
             raise ConfigError(f"could not read matrix file {path}: {exc}") from exc
         check_square(a.shape)
     elif kind == "suite":
-        name = spec.get("name")
-        if not isinstance(name, str) or name not in SUITE:
-            raise ConfigError(
-                f"unknown suite matrix name={name!r} (valid: {sorted(SUITE)})"
-            )
-        scale = spec.get("scale", 1.0)
-        if not (_is_finite_real(scale) and scale > 0):
-            raise ConfigError(f"suite matrix scale={scale!r} is not a finite number > 0")
-        return build_matrix(name, scale=float(scale))
+        name, scale = _suite_spec(spec)
+        return build_matrix(name, scale=scale)
     elif kind == "csr":
         try:
             n = spec["n"]
@@ -322,14 +346,7 @@ def load_matrix(spec) -> CSRMatrix:
             raise ConfigError(f"malformed inline csr matrix: {exc}") from exc
     else:
         raise ConfigError(f"unknown matrix kind {kind!r} (valid: file, suite, csr)")
-    finite = np.isfinite(a.data)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        row = int(np.searchsorted(a.indptr, k, side="right")) - 1
-        raise ConfigError(
-            f"matrix entry at row {row}, column {int(a.indices[k])} is "
-            f"{a.data[k]}; weights must be finite"
-        )
+    check_finite_entries(a)
     return a
 
 
@@ -506,6 +523,9 @@ class ReproServer:
         # which cannot seed the delta engine; this small LRU keeps the most
         # recent full results in memory so updates run warm.
         self._warm: OrderedDict = OrderedDict()
+        # (name, scale) of a suite spec -> (input digest, rows, nnz) of the
+        # matrix built for it, filled only from matrices built here
+        self._suites: OrderedDict = OrderedDict()
 
     # -- protocol entry points ---------------------------------------------
     def handle_line(self, line: str) -> str:
@@ -590,19 +610,11 @@ class ReproServer:
                     EditBatch.from_dicts(request.get("edits"))
                     if op == "update" else None
                 )
-                with session.span("serve-load-matrix"):
-                    a = load_matrix(request.get("matrix"))
-                with session.span("serve-fingerprint"):
-                    # an update is keyed as the extract of the edited matrix
-                    keyed = a if edits is None else apply_edits_to_matrix(a, edits)
-                    key = request_key("extract" if op == "update" else op, keyed, cfg)
-                session.annotate(
-                    key=key, n_vertices=a.n_rows, nnz=a.nnz,
-                    n_edits=None if edits is None else len(edits),
+                key, load, update = self._key_request(
+                    op, request.get("matrix"), cfg, edits, session
                 )
                 result, cached, delta = self._resolve(
-                    op, key, keyed, cfg, session,
-                    update=None if edits is None else (a, edits),
+                    op, key, load, cfg, session, update=update
                 )
             report = session.finish()
             report["serve"] = self._record_session(session, t0)
@@ -619,6 +631,52 @@ class ReproServer:
             response = _error_response(request_id, exc, op=op)
             response["report"] = report
             return response
+
+    # -- keying ------------------------------------------------------------
+    def _key_request(self, op, spec, cfg, edits, session):
+        """The request's key, the loader :meth:`_resolve` calls on a miss,
+        and an update's ``(pre-edit matrix, edits)``.
+
+        A suite spec the daemon has built before keys from its remembered
+        digest, and its loader builds the matrix.  Any other spec is loaded
+        and digested here, and a suite spec is then remembered.  An update is
+        keyed as the extract of its edited matrix, which it needs in hand.
+        """
+        suite = None
+        if edits is None and isinstance(spec, dict) and spec.get("kind") == "suite":
+            suite = _suite_spec(spec)  # checked on every request, hits too
+        with self._lock:
+            known = self._suites.get(suite)
+            if known is not None:
+                self._suites.move_to_end(suite)
+        if known is not None:
+            digest, n_vertices, nnz = known
+
+            def load():
+                with session.span("serve-load-matrix"):
+                    return load_matrix(spec)
+        else:
+            with session.span("serve-load-matrix"):
+                a = load_matrix(spec)
+            with session.span("serve-fingerprint"):
+                keyed = a if edits is None else apply_edits_to_matrix(a, edits)
+                digest = matrix_digest(keyed)
+            n_vertices, nnz = a.n_rows, a.nnz
+            if suite is not None:
+                with self._lock:  # least recently used spec out
+                    self._suites[suite] = (digest, n_vertices, nnz)
+                    self._suites.move_to_end(suite)
+                    while len(self._suites) > _SUITE_DIGESTS:
+                        self._suites.popitem(last=False)
+
+            def load():
+                return keyed
+        key = _key("extract" if edits is not None else op, digest, cfg)
+        session.annotate(
+            key=key, n_vertices=n_vertices, nnz=nnz,
+            n_edits=None if edits is None else len(edits),
+        )
+        return key, load, None if edits is None else (a, edits)
 
     # -- warm-seed store ---------------------------------------------------
     def _seed_warm(self, key, result) -> dict:
@@ -676,14 +734,16 @@ class ReproServer:
         }
 
     # -- cache + coalescing ------------------------------------------------
-    def _resolve(self, op, key, a, cfg, session, update=None):
+    def _resolve(self, op, key, load, cfg, session, update=None):
         """The cache contract: hit replays, miss runs, identical misses share.
 
-        An update passes the edited matrix as ``a`` and ``update=(pre-edit
-        matrix, edits)``.  Returns ``(text, cached, delta)``: ``text`` is the
-        payload's canonical JSON, which a miss encodes once for the cache
-        and its response; ``delta`` is ``None`` except on an update's own
-        miss.
+        ``load()`` returns the request's matrix, and only a miss's leader
+        calls it, so a hit or a coalesced follower of a remembered suite
+        spec builds nothing.  An update loads the edited matrix and passes
+        ``update=(pre-edit matrix, edits)``.  Returns ``(text, cached,
+        delta)``: ``text`` is the payload's canonical JSON, which a miss
+        encodes once for the cache and its response; ``delta`` is ``None``
+        except on an update's own miss.
         """
         with self._lock:
             text = self.cache.get_text(key)
@@ -712,6 +772,7 @@ class ReproServer:
         session.record_cache(hit=False)
         delta = None
         try:
+            a = load()
             with session.span("serve-pipeline"):
                 batch_size = 1
                 if update is not None:
@@ -813,7 +874,7 @@ class ReproServer:
         session.annotate(delta="warm")
         updated = apply_edits(
             warm, edits, before, _config_from(cfg), device=self._run_device(),
-            compaction=self.config.compaction,
+            compaction=self.config.compaction, edited=a,
         )
         payload = self._seed_warm(key, updated.result)
         return payload, {"warm": True, "stats": updated.stats.to_dict()}

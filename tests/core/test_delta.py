@@ -447,6 +447,27 @@ def test_mismatched_shapes_rejected():
         apply_edits(previous, EditBatch.single(0, 9, 3.0), aniso2(10))
 
 
+def test_a_held_edited_matrix_is_not_spliced_again():
+    a = aniso2(16)
+    edits = EditBatch.single(0, 9, 3.0)
+    edited = apply_edits_to_matrix(a, edits)
+    _, updated = run_delta(a, edits, edited=edited)
+    assert updated.matrix is edited
+    check_against_scratch(updated)
+
+
+@pytest.mark.parametrize("other", ["shape", "dtype"])
+def test_an_edited_matrix_of_another_shape_or_dtype_is_refused(other):
+    a = aniso2(8)
+    previous = extract_linear_forest(a, device=Device(record=False))
+    edits = EditBatch.single(0, 9, 3.0)
+    edited = aniso2(10) if other == "shape" else apply_edits_to_matrix(a, edits).astype(
+        np.float32
+    )
+    with pytest.raises(ShapeError, match="edited matrix has shape"):
+        apply_edits(previous, edits, a, edited=edited)
+
+
 def test_n_must_be_two():
     a = aniso2(8)
     previous = extract_linear_forest(a, device=Device(record=False))

@@ -245,6 +245,32 @@ def test_a_non_symmetric_warm_update_prepares_the_edited_matrix_once(
     assert [matrix_digest(a) for a in calls] == [matrix_digest(edited)]
 
 
+def test_a_warm_update_splices_the_edited_matrix_once(server, matrix, monkeypatch):
+    """The daemon splices the batch into the matrix to key the update, and
+    the delta engine reuses that edited matrix instead of splicing again."""
+    server.handle_request({"op": "extract", "id": 1, "matrix": _csr_spec(matrix)})
+    spliced = []
+    splice = delta_mod._splice
+
+    def counted(*args, **kwargs):
+        out = splice(*args, **kwargs)
+        spliced.append(type(out))
+        return out
+
+    monkeypatch.setattr(delta_mod, "_splice", counted)
+    resp = server.handle_request(
+        {"op": "update", "id": 2, "matrix": _csr_spec(matrix), "edits": EDITS}
+    )
+    monkeypatch.undo()
+    assert resp["delta"]["warm"] is True
+    assert spliced.count(CSRMatrix) == 1
+    edited = apply_edits_to_matrix(matrix, EditBatch.from_dicts(EDITS))
+    cold = ReproServer(ServeConfig()).handle_request(
+        {"op": "extract", "id": 3, "matrix": _csr_spec(edited)}
+    )
+    assert resp["result"] == cold["result"]
+
+
 def test_chained_warm_updates_splice_the_warm_graph(server, matrix, monkeypatch):
     """The daemon loads a new matrix object for every request, and three
     chained warm updates still splice the warm result's prepared graph:

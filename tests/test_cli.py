@@ -576,3 +576,37 @@ def test_delta_rejects_malformed_edits(grid_mtx_path, tmp_path):
     bad.write_text('[{"u": 1, "v": 2, "weight": 0.5}]')
     with pytest.raises(ConfigError, match="unknown keys"):
         main(["delta", grid_mtx_path, "--edits", str(bad)])
+
+
+# --- non-finite entries ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "entries, named",
+    [
+        ("1 1 4.0\n1 2 1.0\n2 1 1.0\n2 2 4.0\n2 3 inf\n3 2 1.0\n3 3 4.0\n",
+         "row 1, column 2 is inf"),
+        ("1 1 nan\n1 2 1.0\n2 1 1.0\n2 2 4.0\n2 3 1.0\n3 2 1.0\n3 3 4.0\n",
+         "row 0, column 0 is nan"),
+    ],
+    ids=["inf-off-diagonal", "nan-diagonal"],
+)
+def test_every_matrix_command_refuses_a_non_finite_entry(tmp_path, entries, named):
+    from repro.errors import ConfigError
+
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n3 3 7\n" + entries)
+    edits = tmp_path / "edits.json"
+    edits.write_text('[{"u": 0, "v": 2, "w": 0.5}]')
+    commands = [
+        ["extract", str(path), "--bands-out", str(tmp_path / "bands.txt")],
+        ["batch", str(path)],
+        ["delta", str(path), "--edits", str(edits)],
+        ["factor", str(path)],
+        ["solve", str(path)],
+        ["transversal", str(path)],
+    ]
+    for argv in commands:
+        with pytest.raises(ConfigError, match=f"{named}; weights must be finite"):
+            main(argv)
+    assert not (tmp_path / "bands.txt").exists()
